@@ -6,12 +6,18 @@ Exit codes are a stable contract:
     2  parse error (graph, ordering, or flags)
     3  disconnected input where connectivity is required
     4  enumeration truncated at the cap
+
+For ``equiv``, ``--cap`` bounds the complete orderings of the first kind
+reached without a counterexample.  A counterexample found within the cap
+settles the question, so that case exits 1; exit 4 means the cap was
+reached with no counterexample and the inclusion is unknown.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from multiprocessing import Pool
@@ -105,6 +111,17 @@ def _emit(payload: dict, as_json: bool) -> None:
             print(f"{key}: {value}")
 
 
+def _jobs(text: str) -> int:
+    """``scan --jobs``: at least 1, at most the number of CPUs."""
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return min(jobs, os.cpu_count() or 1)
+
+
 def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", nargs="?", default="-",
                    help="graph file (graph6 or edge list); '-' for stdin")
@@ -153,7 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", nargs="?", default="-",
                    help="file of graph6 lines; '-' for stdin")
     p.add_argument("--theorem", choices=THEOREMS + ("all",), default="all")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_jobs, default=1,
+                   help="worker processes (at most the number of CPUs)")
 
     return parser
 

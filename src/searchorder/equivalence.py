@@ -9,7 +9,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .graphs import Graph, VertexOrdering, require_connected
-from .searches import SearchKind, enumerate_orderings, DEFAULT_CAP
+from .searches import (DEFAULT_CAP, InconsistentStateError, SearchKind,
+                       SearchState, candidates)
+# Not called here, but importable as ``equivalence.enumerate_orderings``:
+# bench/spans.py rebinds that name to span the layer in traced runs.
+from .searches import enumerate_orderings  # noqa: F401
 from .validators import PointViolation, is_search_ordering
 from .patterns import recognize_structure
 
@@ -52,23 +56,70 @@ class EquivalenceReport:
         }
 
 
+def _first_outside(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
+                   cap: int) -> tuple[Optional[tuple[int, ...]], bool]:
+    """The lexicographically first kind_x ordering of g that is not a kind_y
+    ordering (None if there is none), and whether the walk stopped at the cap.
+
+    kind_x orderings lie within kind_y orderings iff, at every prefix both
+    can reach, kind_x's candidates are a subset of kind_y's.  The walk
+    visits those prefixes depth-first, trying kind_x's candidates in
+    ascending order.  The first candidate v that kind_y does not allow
+    makes every kind_x ordering through prefix + v a counterexample, and
+    completing it with min-index kind_x choices gives the first of them.
+    ``cap`` bounds the complete orderings reached without a counterexample;
+    the walk stops there, and then its verdict is not established.
+    """
+    if cap <= 0:
+        raise ValueError("cap must be positive")
+    n = g.n
+    complete = 0
+    truncated = False
+
+    def walk(state: SearchState) -> Optional[tuple[int, ...]]:
+        nonlocal complete, truncated
+        if len(state.visited) == n:
+            complete += 1
+            return None
+        allowed = candidates(g, kind_y, state)
+        for v in sorted(candidates(g, kind_x, state)):
+            if complete >= cap:
+                truncated = True
+                return None
+            nxt = state.extend(v)
+            if v not in allowed:
+                while len(nxt.visited) < n:
+                    nxt = nxt.extend(min(candidates(g, kind_x, nxt)))
+                return nxt.visited
+            found = walk(nxt)
+            if found is not None or truncated:
+                return found
+        return None
+
+    witness = walk(SearchState(g))
+    return witness, truncated
+
+
 def _one_direction(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
                    relation: str, cap: int) -> EquivalenceReport:
-    """Enumerate kind_x orderings and validate each against kind_y; a failing
-    ordering comes with its violating triple for free."""
-    enum = enumerate_orderings(g, kind_x, cap=cap)
-    for ordering in enum.orderings:  # already lexicographically sorted
-        ok, witness = is_search_ordering(g, ordering, kind_y)
-        if not ok:
-            violation = witness if isinstance(witness, PointViolation) else None
-            vertex = witness if isinstance(witness, int) else None
-            return EquivalenceReport(kind_x, kind_y, relation, False,
-                                     witness_ordering=ordering,
-                                     witness_violation=violation,
-                                     witness_vertex=vertex,
-                                     truncated=enum.truncated)
-    return EquivalenceReport(kind_x, kind_y, relation, True,
-                             truncated=enum.truncated)
+    """Is every kind_x ordering a kind_y ordering?  A counterexample is the
+    lexicographically first one, with the validator's violating triple or
+    vertex for it."""
+    ordering, truncated = _first_outside(g, kind_x, kind_y, cap)
+    if ordering is None:
+        return EquivalenceReport(kind_x, kind_y, relation, True,
+                                 truncated=truncated)
+    ok, witness = is_search_ordering(g, ordering, kind_y)
+    if ok:
+        raise InconsistentStateError(
+            f"{kind_y.value} candidate rule rejects {ordering}, "
+            "but its validator accepts it")
+    violation = witness if isinstance(witness, PointViolation) else None
+    vertex = witness if isinstance(witness, int) else None
+    return EquivalenceReport(kind_x, kind_y, relation, False,
+                             witness_ordering=ordering,
+                             witness_violation=violation,
+                             witness_vertex=vertex)
 
 
 def orderings_subset(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
@@ -141,8 +192,14 @@ class TheoremReport:
     reports: tuple[EquivalenceReport, ...] = field(repr=False, default=())
 
     @property
+    def truncated(self) -> bool:
+        """Some item's walk stopped at the cap, so its verdict is unknown."""
+        return any(report.truncated for report in self.reports)
+
+    @property
     def consistent(self) -> bool:
-        return all(value == self.structural_prediction for _, value in self.items)
+        return not self.truncated and all(
+            value == self.structural_prediction for _, value in self.items)
 
     def to_dict(self) -> dict:
         return {
@@ -150,6 +207,7 @@ class TheoremReport:
             "structural_prediction": self.structural_prediction,
             "items": [{"item": name, "holds": value} for name, value in self.items],
             "consistent": self.consistent,
+            "truncated": self.truncated,
         }
 
 
@@ -179,9 +237,5 @@ def find_mns_not_mcs(g: Graph, cap: int = DEFAULT_CAP, max_n: int = 8,
                      allow_large: bool = False) -> Optional[VertexOrdering]:
     """Lexicographically first ordering that is MNS-valid but MCS-invalid."""
     _guard(g, max_n, allow_large)
-    enum = enumerate_orderings(g, SearchKind.MNS, cap=cap)
-    for ordering in enum.orderings:
-        ok, _ = is_search_ordering(g, ordering, SearchKind.MCS)
-        if not ok:
-            return VertexOrdering(ordering)
-    return None
+    ordering, _ = _first_outside(g, SearchKind.MNS, SearchKind.MCS, cap)
+    return VertexOrdering(ordering) if ordering is not None else None

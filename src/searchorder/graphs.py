@@ -40,6 +40,14 @@ class DisconnectedGraphError(ValueError):
     pass
 
 
+def bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
 
@@ -65,11 +73,7 @@ class Graph:
         return bool(self.adj[u] >> v & 1)
 
     def neighbors(self, v: int) -> Iterator[int]:
-        mask = self.adj[v]
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
+        return bits(self.adj[v])
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()

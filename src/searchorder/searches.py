@@ -9,11 +9,12 @@ checks them exhaustively against the point-condition validators.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .graphs import Graph, VertexOrdering, require_connected
+from .graphs import Graph, VertexOrdering, bits, require_connected
 
 
 class SearchKind(Enum):
@@ -41,41 +42,38 @@ class InconsistentStateError(RuntimeError):
 class SearchState:
     """Visited prefix of a search, with kind-independent bookkeeping.
 
-    Labels are derived from the visited sequence on demand; only the
-    prefix itself is stored, so states stay cheap to copy and compare.
+    Labels are derived from the visited sequence on demand; besides the
+    prefix, only its vertex mask and the union of its neighbourhoods are
+    stored, so states stay cheap to copy and compare.
     """
 
-    __slots__ = ("graph", "visited", "visited_mask")
+    __slots__ = ("graph", "visited", "visited_mask", "reached_mask")
 
     def __init__(self, graph: Graph, visited: tuple[int, ...] = ()):
-        mask = 0
+        mask = reached = 0
         for v in visited:
             if not 0 <= v < graph.n:
                 raise InconsistentStateError(f"visited vertex {v} out of range")
             if mask >> v & 1:
                 raise InconsistentStateError(f"vertex {v} visited twice")
             mask |= 1 << v
+            reached |= graph.adj[v]
         self.graph = graph
         self.visited = tuple(visited)
         self.visited_mask = mask
+        self.reached_mask = reached
 
     def extend(self, v: int) -> "SearchState":
         state = SearchState.__new__(SearchState)
         state.graph = self.graph
         state.visited = self.visited + (v,)
         state.visited_mask = self.visited_mask | 1 << v
+        state.reached_mask = self.reached_mask | self.graph.adj[v]
         return state
 
     def visited_neighbor_set(self, v: int) -> int:
         """MNS label: bitmask of visited neighbors of v."""
         return self.graph.adj[v] & self.visited_mask
-
-
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def candidates(g: Graph, kind: SearchKind, state: SearchState) -> set[int]:
@@ -86,20 +84,17 @@ def candidates(g: Graph, kind: SearchKind, state: SearchState) -> set[int]:
     if not state.visited:
         return set(range(g.n))
     mask = state.visited_mask
-    reachable = 0
-    for u in state.visited:
-        reachable |= g.adj[u]
-    fringe = reachable & ~mask
+    fringe = state.reached_mask & ~mask
     if kind is SearchKind.GENERIC:
-        return set(_bits(fringe))
+        return set(bits(fringe))
 
     if kind is SearchKind.BFS:
         # FIFO layer heads: minimal rank of the earliest visited neighbor.
         best_rank = None
         best: set[int] = set()
         pos = {u: i for i, u in enumerate(state.visited)}
-        for v in _bits(fringe):
-            rank = min(pos[u] for u in _bits(g.adj[v] & mask))
+        for v in bits(fringe):
+            rank = min(pos[u] for u in bits(g.adj[v] & mask))
             if best_rank is None or rank < best_rank:
                 best_rank, best = rank, {v}
             elif rank == best_rank:
@@ -111,13 +106,13 @@ def candidates(g: Graph, kind: SearchKind, state: SearchState) -> set[int]:
         for u in reversed(state.visited):
             unvisited = g.adj[u] & ~mask
             if unvisited:
-                return set(_bits(unvisited))
+                return set(bits(unvisited))
         return set()
 
     if kind is SearchKind.LEXBFS or kind is SearchKind.LEXDFS:
         n = g.n
         labels = {}
-        for v in _bits(fringe):
+        for v in bits(fringe):
             steps = [i for i, u in enumerate(state.visited) if g.adj[v] >> u & 1]
             if kind is SearchKind.LEXBFS:
                 # earlier discoverers carry more weight
@@ -129,7 +124,7 @@ def candidates(g: Graph, kind: SearchKind, state: SearchState) -> set[int]:
         return {v for v, lab in labels.items() if lab == top}
 
     if kind is SearchKind.MNS:
-        labs = {v: state.visited_neighbor_set(v) for v in _bits(fringe)}
+        labs = {v: state.visited_neighbor_set(v) for v in bits(fringe)}
         out = set()
         for v, lv in labs.items():
             if not any(lv != lu and lv | lu == lu for lu in labs.values()):
@@ -137,7 +132,7 @@ def candidates(g: Graph, kind: SearchKind, state: SearchState) -> set[int]:
         return out
 
     if kind is SearchKind.MCS:
-        counts = {v: (g.adj[v] & mask).bit_count() for v in _bits(fringe)}
+        counts = {v: (g.adj[v] & mask).bit_count() for v in bits(fringe)}
         top = max(counts.values())
         return {v for v, c in counts.items() if c == top}
 
@@ -213,13 +208,17 @@ class EnumerationResult(NamedTuple):
     truncated: bool
 
     def __contains__(self, item) -> bool:
-        return tuple(item) in set(self.orderings)
+        item = tuple(item)
+        i = bisect_left(self.orderings, item)
+        return i < len(self.orderings) and self.orderings[i] == item
 
 
 def enumerate_orderings(g: Graph, kind: SearchKind,
                         cap: int = DEFAULT_CAP) -> EnumerationResult:
     """All orderings the paradigm can produce, by branching on every tie.
 
+    Starts are tried in ascending order and every tie's candidates in
+    ascending order, so the orderings come out lexicographically sorted.
     Intended for small graphs (n <= 8 or so); hitting ``cap`` is reported
     via the truncation flag, never silently.
     """
@@ -251,5 +250,4 @@ def enumerate_orderings(g: Graph, kind: SearchKind,
     for start in range(n):
         if not recurse(root.extend(start)):
             break
-    found.sort()
     return EnumerationResult(tuple(found), truncated)

@@ -3,13 +3,14 @@ import json
 
 import pytest
 
-from searchorder import emit_graph6
+from searchorder import cli, emit_graph6
 from searchorder.cli import (
     EXIT_DISCONNECTED,
     EXIT_NEGATIVE,
     EXIT_OK,
     EXIT_PARSE,
     EXIT_TRUNCATED,
+    build_parser,
     main,
 )
 from smallgraphs import complete, cycle, pan, path, paw, star
@@ -111,6 +112,38 @@ class TestRun:
         assert code1 == code2 == EXIT_OK
         assert out1 == out2
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, jobs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "-", "--jobs", jobs])
+        assert exc.value.code == EXIT_PARSE
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_jobs_clamped_to_cpu_count(self, tmp_path, capsys, monkeypatch):
+        started = []
+
+        class FakePool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, work):
+                return [fn(item) for item in work]
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "Pool", FakePool)
+        assert build_parser().parse_args(["scan", "--jobs", "64"]).jobs == 2
+        f = write(tmp_path, "batch.g6", emit_graph6(cycle(4)) + "\n")
+        code, _, err = run_cli(capsys, ["scan", f, "--jobs", "64"])
+        assert code == EXIT_OK
+        assert started == [2]
+        assert "1 graphs processed" in err
+
     def test_start_vertex(self, tmp_path, capsys):
         f = write(tmp_path, "g.g6", emit_graph6(cycle(5)))
         code, out, _ = run_cli(capsys, ["run", f, "--kind", "bfs", "--start", "3"])
@@ -179,6 +212,26 @@ class TestEquiv:
             "equiv", f, "--kind-x", "dfs", "--kind-y", "lexdfs"])
         assert code == EXIT_OK
 
+    def test_cap_reached_without_counterexample_exits_4(self, tmp_path, capsys):
+        f = write(tmp_path, "g.g6", emit_graph6(complete(4)))
+        code, out, _ = run_cli(capsys, [
+            "equiv", f, "--kind-x", "generic", "--kind-y", "bfs",
+            "--cap", "1", "--json"])
+        assert code == EXIT_TRUNCATED
+        assert json.loads(out)["truncated"] is True
+
+    def test_counterexample_within_cap_exits_1(self, tmp_path, capsys):
+        # path 2-1-0-3: the first generic ordering (0, 1, 2, 3) visits 2
+        # while 0's neighbor 3 is waiting, so it is not a BFS ordering
+        f = write(tmp_path, "g.el", "0 1\n1 2\n0 3")
+        code, out, _ = run_cli(capsys, [
+            "equiv", f, "--kind-x", "generic", "--kind-y", "bfs",
+            "--cap", "1", "--json"])
+        assert code == EXIT_NEGATIVE
+        payload = json.loads(out)
+        assert payload["witness_ordering"] == [0, 1, 2, 3]
+        assert payload["truncated"] is False
+
 
 class TestScan:
     def test_small_inventory_all_theorems(self, tmp_path, capsys):
@@ -215,6 +268,38 @@ class TestScan:
                                           "--jobs", "2"])
         assert code1 == code2 == EXIT_OK
         assert out1 == out2
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_rejected(self, jobs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "-", "--jobs", jobs])
+        assert exc.value.code == EXIT_PARSE
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_jobs_clamped_to_cpu_count(self, tmp_path, capsys, monkeypatch):
+        started = []
+
+        class FakePool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, work):
+                return [fn(item) for item in work]
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(cli, "Pool", FakePool)
+        assert build_parser().parse_args(["scan", "--jobs", "64"]).jobs == 2
+        f = write(tmp_path, "batch.g6", emit_graph6(cycle(4)) + "\n")
+        code, _, err = run_cli(capsys, ["scan", f, "--jobs", "64"])
+        assert code == EXIT_OK
+        assert started == [2]
+        assert "1 graphs processed" in err
 
     def test_stdin_input(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(emit_graph6(cycle(4)) + "\n"))

@@ -5,6 +5,7 @@ import pytest
 from searchorder import (
     COROLLARY_A5A6,
     DisconnectedGraphError,
+    EquivalenceReport,
     Graph,
     SearchKind,
     SizeGuardError,
@@ -12,11 +13,14 @@ from searchorder import (
     THEOREM_B,
     THEOREM_C,
     check_theorem,
+    enumerate_orderings,
     find_mns_not_mcs,
     is_search_ordering,
     orderings_equal,
     orderings_subset,
 )
+from searchorder.equivalence import _THEOREM_ITEMS, _one_direction
+from searchorder.validators import PointViolation
 from smallgraphs import (
     MNS_NOT_MCS_BROKEN_EXAMPLE,
     MNS_NOT_MCS_EXAMPLES,
@@ -126,6 +130,26 @@ class TestCheckTheorem:
         assert payload["theorem"] == "A"
         assert isinstance(payload["consistent"], bool)
         assert all({"item", "holds"} <= set(entry) for entry in payload["items"])
+        assert payload["truncated"] is False
+
+    def test_cap_reached_is_truncated_not_consistent(self):
+        report = check_theorem(complete(4), THEOREM_A, cap=1)
+        assert report.structural_prediction
+        assert all(value for _, value in report.items)
+        assert report.truncated
+        assert not report.consistent
+        assert report.to_dict()["truncated"] is True
+
+    def test_counterexample_within_cap_is_conclusive(self):
+        # path 2-1-0-3: its first generic ordering (0, 1, 2, 3) is DFS but
+        # not BFS, so A2 stops at the cap while A3 is refuted before it
+        report = check_theorem(Graph(4, [(0, 1), (1, 2), (0, 3)]), THEOREM_A,
+                               cap=1)
+        a2, a3 = report.reports[:2]
+        assert a2.verdict and a2.truncated
+        assert not a3.verdict and not a3.truncated
+        assert a3.witness_ordering == (0, 1, 2, 3)
+        assert report.truncated and not report.consistent
 
 
 class TestFindMnsNotMcs:
@@ -157,3 +181,32 @@ class TestFindMnsNotMcs:
             if ordering == hit:
                 break
             assert is_search_ordering(g, ordering, SearchKind.MCS)[0]
+
+
+def _enumerate_then_validate(g, kind_x, kind_y, relation):
+    """The old decision: validate the kind_x orderings in lexicographic
+    order against kind_y and stop at the first that fails."""
+    for ordering in enumerate_orderings(g, kind_x).orderings:
+        ok, witness = is_search_ordering(g, ordering, kind_y)
+        if not ok:
+            return EquivalenceReport(
+                kind_x, kind_y, relation, False, witness_ordering=ordering,
+                witness_violation=(witness if isinstance(witness, PointViolation)
+                                   else None),
+                witness_vertex=witness if isinstance(witness, int) else None,
+            ).to_dict()
+    return EquivalenceReport(kind_x, kind_y, relation, True).to_dict()
+
+
+def test_walk_matches_enumerate_then_validate(graphs_upto_6):
+    pairs = [(kx, ky, relation)
+             for items in _THEOREM_ITEMS.values()
+             for _, kx, ky, relation in items]
+    pairs += [(ky, kx, relation) for kx, ky, relation in pairs
+              if relation == "equal"]
+    pairs.append((SearchKind.MNS, SearchKind.MCS, "subset"))
+    for g in graphs_upto_6:
+        for kx, ky, relation in pairs:
+            got = _one_direction(g, kx, ky, relation, cap=10_000_000).to_dict()
+            assert got == _enumerate_then_validate(g, kx, ky, relation), \
+                (g, kx, ky)

@@ -13,7 +13,7 @@ from searchorder import (
     parse_edge_list,
     parse_graph6,
 )
-from searchorder.graphs import require_connected
+from searchorder.graphs import bits, require_connected
 from smallgraphs import complete, cycle, path
 
 
@@ -33,6 +33,13 @@ class TestGraph:
             Graph(3, [(1, 1)])
         with pytest.raises(ValueError):
             Graph(3, [(0, 3)])
+
+    def test_neighbors_are_the_set_bits_ascending(self):
+        assert list(bits(0)) == []
+        assert list(bits(0b101001)) == [0, 3, 5]
+        g = Graph(4, [(2, 0), (2, 3), (2, 1)])
+        assert list(g.neighbors(2)) == [0, 1, 3]
+        assert list(g.neighbors(0)) == [2]
 
     def test_complement(self):
         g = path(3).complement()

@@ -14,7 +14,7 @@ from searchorder import (
 )
 from searchorder.searches import InconsistentStateError
 from oracles import ORACLES
-from smallgraphs import complete, cycle, path, paw, star
+from smallgraphs import complete, complete_bipartite, cycle, pan, path, paw, star
 
 ALL_KINDS = list(SearchKind)
 
@@ -140,8 +140,18 @@ class TestEnumerate:
         assert got == expected
 
     def test_orderings_are_sorted(self):
-        result = enumerate_orderings(cycle(5), SearchKind.DFS)
-        assert list(result.orderings) == sorted(result.orderings)
+        for g in (cycle(6), path(6), pan(5), complete_bipartite(2, 4)):
+            for kind in ALL_KINDS:
+                result = enumerate_orderings(g, kind)
+                assert result.orderings == tuple(sorted(result.orderings)), \
+                    (g, kind)
+
+    def test_membership(self):
+        result = enumerate_orderings(path(3), SearchKind.BFS)
+        assert (1, 2, 0) in result
+        assert [1, 2, 0] in result
+        assert (0, 2, 1) not in result
+        assert (2, 1, 0, 3) not in result
 
     def test_cap_truncates_loudly(self):
         result = enumerate_orderings(complete(4), SearchKind.GENERIC, cap=5)
