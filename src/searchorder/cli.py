@@ -23,8 +23,8 @@ import time
 from multiprocessing import Pool
 from typing import Optional
 
-from .graphs import (DisconnectedGraphError, EdgeListParseError, Graph,
-                     Graph6ParseError, parse_edge_list, parse_graph6)
+from .graphs import (DisconnectedGraphError, Graph, Graph6ParseError,
+                     parse_edge_list, parse_graph6)
 from .searches import (DEFAULT_CAP, SearchKind, TieBreak, enumerate_orderings,
                        run_search)
 from .validators import PointViolation, is_search_ordering
@@ -40,30 +40,16 @@ EXIT_DISCONNECTED = 3
 EXIT_TRUNCATED = 4
 
 
-def _looks_like_graph6(line: str) -> bool:
-    text = line.strip()
-    if text.startswith(">>graph6<<"):
-        return True
-    if not text or any(ch.isspace() for ch in text):
-        return False
-    if not all(63 <= ord(ch) <= 126 for ch in text):
-        return False
-    n = ord(text[0]) - 63
-    return len(text) == 1 + (n * (n - 1) // 2 + 5) // 6
-
-
 def _read_graph(args) -> Graph:
+    """``--format auto`` reads a lone token as a graph6 record (a single
+    token is never a valid edge list) and anything else as an edge list."""
     if args.input == "-":
         text = sys.stdin.read()
     else:
         with open(args.input) as fh:
             text = fh.read()
-    fmt = args.format
-    if fmt == "auto":
-        stripped = text.strip()
-        fmt = "graph6" if "\n" not in stripped and _looks_like_graph6(stripped) \
-            else "edgelist"
-    if fmt == "graph6":
+    if args.format == "graph6" or (args.format == "auto"
+                                   and len(text.split()) == 1):
         return parse_graph6(text)
     return parse_edge_list(text)
 
@@ -225,9 +211,7 @@ def cmd_validate(args) -> int:
 def cmd_run(args) -> int:
     g = _read_graph(args)
     kind = SearchKind.from_name(args.kind)
-    tiebreak = TieBreak.seeded(args.seed) if args.seed is not None \
-        else TieBreak.min_index()
-    ordering = run_search(g, kind, tiebreak, start=args.start)
+    ordering = run_search(g, kind, TieBreak(args.seed), start=args.start)
     if args.json:
         print(json.dumps({"kind": kind.value, "ordering": list(ordering)}))
     else:
@@ -342,16 +326,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (Graph6ParseError, EdgeListParseError, ValueError) as exc:
-        if isinstance(exc, SizeGuardError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_PARSE
-        if isinstance(exc, DisconnectedGraphError):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_DISCONNECTED
+    except DisconnectedGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except OSError as exc:
+        return EXIT_DISCONNECTED
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -150,10 +150,10 @@ def parse_graph6(line: str) -> Graph:
         text = text[len(_G6_HEADER):]
     if not text:
         raise Graph6ParseError("empty graph6 record")
-    data = text.encode("ascii", errors="replace")
-    for i, byte in enumerate(data):
+    for i, byte in enumerate(map(ord, text)):
         if not 63 <= byte <= 126:
             raise Graph6ParseError(f"non-printable graph6 byte {byte}", offset=i)
+    data = text.encode("ascii")
     if data[0] == 126:
         raise Graph6ParseError("long-form graph6 (n > 62) not supported", offset=0)
     n = data[0] - 63
@@ -261,12 +261,10 @@ def parse_edge_list(text: str) -> Graph:
 
 # -- structural helpers ------------------------------------------------
 
-def is_connected(g: Graph) -> bool:
-    """True iff every vertex is reachable from vertex 0 (vacuous for n <= 1)."""
-    if g.n <= 1:
-        return True
-    seen = 1
-    frontier = 1
+def component_mask(g: Graph, start: int, within: int = -1) -> int:
+    """Bitmask of the vertices reachable from ``start`` without leaving the
+    vertex set ``within`` (a bitmask that contains ``start``)."""
+    seen = frontier = 1 << start
     while frontier:
         nxt = 0
         m = frontier
@@ -274,9 +272,14 @@ def is_connected(g: Graph) -> bool:
             low = m & -m
             nxt |= g.adj[low.bit_length() - 1]
             m ^= low
-        frontier = nxt & ~seen
+        frontier = nxt & within & ~seen
         seen |= frontier
-    return seen == (1 << g.n) - 1
+    return seen
+
+
+def is_connected(g: Graph) -> bool:
+    """True iff every vertex is reachable from vertex 0 (vacuous for n <= 1)."""
+    return g.n <= 1 or component_mask(g, 0) == (1 << g.n) - 1
 
 
 def require_connected(g: Graph) -> None:

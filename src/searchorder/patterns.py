@@ -7,11 +7,12 @@ and the test suite cross-checks the two paths exhaustively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations, permutations
 from typing import Optional
 
-from .graphs import Graph, DisconnectedGraphError, is_connected
+from .graphs import (Graph, DisconnectedGraphError, bits, component_mask,
+                     is_connected)
 
 P4 = "P4"
 C4 = "C4"
@@ -27,6 +28,24 @@ _SMALL_PATTERN_EDGES = {
     PAW: frozenset({(0, 1), (1, 2), (0, 2), (2, 3)}),
     DIAMOND: frozenset({(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)}),
 }
+
+
+def _embedding_table(edges: frozenset) -> dict[int, tuple[int, ...]]:
+    """Induced-edge signature of a sorted 4-subset -> the lexicographically
+    first permutation ``p`` such that position ``i`` of the pattern maps to
+    the subset's ``p[i]``-th vertex.  Bit ``k`` of a signature is the
+    ``k``-th pair of ``combinations(range(4), 2)``."""
+    table: dict[int, tuple[int, ...]] = {}
+    for perm in permutations(range(4)):
+        image = {frozenset((perm[i], perm[j])) for i, j in edges}
+        signature = sum(1 << k for k, pair in enumerate(combinations(range(4), 2))
+                        if frozenset(pair) in image)
+        table.setdefault(signature, perm)
+    return table
+
+
+_EMBEDDINGS = {name: _embedding_table(edges)
+               for name, edges in _SMALL_PATTERN_EDGES.items()}
 
 
 @dataclass(frozen=True)
@@ -49,14 +68,17 @@ class PatternHit:
 def find_induced_small(g: Graph, pattern: str) -> Optional[PatternHit]:
     """Lexicographically first induced embedding of a 4-vertex pattern."""
     try:
-        target = _SMALL_PATTERN_EDGES[pattern]
+        table = _EMBEDDINGS[pattern]
     except KeyError:
         raise ValueError(f"unknown 4-vertex pattern {pattern!r}") from None
-    for subset in combinations(range(g.n), 4):
-        for mapped in permutations(subset):
-            if all(g.has_edge(mapped[i], mapped[j]) == ((i, j) in target)
-                   for i, j in combinations(range(4), 2)):
-                return PatternHit(pattern, mapped)
+    adj = g.adj
+    for quad in combinations(range(g.n), 4):
+        a, b, c, d = quad
+        perm = table.get(adj[a] >> b & 1 | (adj[a] >> c & 1) << 1
+                         | (adj[a] >> d & 1) << 2 | (adj[b] >> c & 1) << 3
+                         | (adj[b] >> d & 1) << 4 | (adj[c] >> d & 1) << 5)
+        if perm is not None:
+            return PatternHit(pattern, tuple(quad[i] for i in perm))
     return None
 
 
@@ -138,28 +160,7 @@ class ClassLabel:
     class_c: Optional[bool]
 
     def to_dict(self) -> dict:
-        return {
-            "star": self.star, "clique": self.clique,
-            "cycle_ge4": self.cycle_ge4, "tree": self.tree,
-            "forest": self.forest,
-            "complete_bipartite": self.complete_bipartite,
-            "complete_multipartite": self.complete_multipartite,
-            "triangle_free": self.triangle_free,
-            "trivially_perfect": self.trivially_perfect,
-            "class_a": self.class_a, "class_b": self.class_b,
-            "class_c": self.class_c,
-        }
-
-
-def _is_clique_mask(g: Graph, mask: int) -> bool:
-    m = mask
-    while m:
-        low = m & -m
-        v = low.bit_length() - 1
-        if (g.adj[v] & mask) != mask & ~low:
-            return False
-        m ^= low
-    return True
+        return asdict(self)
 
 
 def is_star(g: Graph) -> bool:
@@ -181,74 +182,32 @@ def is_cycle_ge4(g: Graph) -> bool:
 
 def is_forest(g: Graph) -> bool:
     # acyclic iff every component has |edges| = |vertices| - 1
-    return g.edge_count == g.n - _component_count(g)
-
-
-def _component_count(g: Graph) -> int:
-    seen = 0
-    count = 0
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        count += 1
-        frontier = 1 << v
-        seen |= frontier
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                low = m & -m
-                nxt |= g.adj[low.bit_length() - 1]
-                m ^= low
-            frontier = nxt & ~seen
-            seen |= frontier
-    return count
+    components = 0
+    rest = (1 << g.n) - 1
+    while rest:
+        rest &= ~component_mask(g, (rest & -rest).bit_length() - 1)
+        components += 1
+    return g.edge_count == g.n - components
 
 
 def is_complete_bipartite(g: Graph) -> bool:
-    """Connected graphs only: 2-colorable and all cross pairs are edges."""
-    if g.n == 0:
+    """Vertex 0's neighbourhood is one side and the other vertices the
+    other: every vertex must be adjacent to exactly the opposite side.
+    Both sides are non-empty, so the graph is connected."""
+    if g.n <= 1:
         return True
-    color = [-1] * g.n
-    color[0] = 0
-    queue = [0]
-    while queue:
-        u = queue.pop()
-        for v in range(g.n):
-            if g.adj[u] >> v & 1:
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return False
-    if -1 in color:
-        return False  # disconnected; caller guards anyway
-    a = sum(1 for c in color if c == 0)
-    return g.edge_count == a * (g.n - a)
+    side = g.adj[0]
+    rest = ((1 << g.n) - 1) & ~side
+    return side != 0 and all(g.adj[v] == (rest if side >> v & 1 else side)
+                             for v in range(g.n))
 
 
 def is_complete_multipartite(g: Graph) -> bool:
-    """Complement is a disjoint union of cliques."""
-    comp = g.complement()
-    seen = 0
-    for v in range(comp.n):
-        if seen >> v & 1:
-            continue
-        mask = 1 << v
-        frontier = mask
-        while frontier:
-            nxt = 0
-            m = frontier
-            while m:
-                low = m & -m
-                nxt |= comp.adj[low.bit_length() - 1]
-                m ^= low
-            frontier = nxt & ~mask
-            mask |= frontier
-        if not _is_clique_mask(comp, mask):
-            return False
-        seen |= mask
-    return True
+    """Non-adjacent vertices have equal neighbourhoods.  Non-adjacency is
+    then transitive, so the complement is a disjoint union of cliques."""
+    adj = g.adj
+    return all(adj[u] == adj[v] for u, v in combinations(range(g.n), 2)
+               if not adj[u] >> v & 1)
 
 
 def is_triangle_free(g: Graph) -> bool:
@@ -267,31 +226,11 @@ def is_trivially_perfect(g: Graph) -> bool:
         # split into components first
         rest = mask
         while rest:
-            low = rest & -rest
-            comp = low
-            frontier = low
-            while frontier:
-                nxt = 0
-                m = frontier
-                while m:
-                    b = m & -m
-                    nxt |= g.adj[b.bit_length() - 1]
-                    m ^= b
-                frontier = nxt & mask & ~comp
-                comp |= frontier
+            comp = component_mask(g, (rest & -rest).bit_length() - 1, mask)
             if comp.bit_count() > 1:
-                universal = 0
-                m = comp
-                while m:
-                    b = m & -m
-                    v = b.bit_length() - 1
-                    if (g.adj[v] & comp) == comp & ~b:
-                        universal = b
-                        break
-                    m ^= b
-                if not universal:
-                    return False
-                if not peel(comp & ~universal):
+                universal = next((v for v in bits(comp)
+                                  if g.adj[v] & comp == comp & ~(1 << v)), None)
+                if universal is None or not peel(comp & ~(1 << universal)):
                     return False
             rest &= ~comp
         return True

@@ -145,41 +145,31 @@ def candidates(g: Graph, kind: SearchKind, state: SearchState) -> set[int]:
 class TieBreak:
     """Resolves ties among candidates; the search paradigms leave them free.
 
-    ``seed is None`` with policy "min"/"max" picks the extreme index;
-    "random" hashes (seed, step, candidates) so equal seeds give equal
-    choices on identical states.
+    ``seed is None`` picks the smallest index; otherwise an RNG keyed by
+    (seed, step, candidates) picks, so equal seeds give equal choices on
+    identical states.
     """
 
-    policy: str = "min"
     seed: Optional[int] = None
 
     @classmethod
     def min_index(cls) -> "TieBreak":
-        return cls("min")
-
-    @classmethod
-    def max_index(cls) -> "TieBreak":
-        return cls("max")
+        return cls()
 
     @classmethod
     def seeded(cls, seed: int) -> "TieBreak":
-        return cls("random", seed)
+        return cls(seed)
 
     def pick(self, options: set[int], step: int) -> int:
+        if self.seed is None:
+            return min(options)
         ordered = sorted(options)
-        if self.policy == "min":
-            return ordered[0]
-        if self.policy == "max":
-            return ordered[-1]
-        if self.policy == "random":
-            rng = random.Random(f"{self.seed}:{step}:{ordered}")
-            return rng.choice(ordered)
-        raise ValueError(f"unknown tie-break policy {self.policy!r}")
+        return random.Random(f"{self.seed}:{step}:{ordered}").choice(ordered)
 
 
 def run_search(g: Graph, kind: SearchKind, tiebreak: TieBreak = TieBreak(),
                start: Optional[int] = None) -> VertexOrdering:
-    """Execute one search, resolving every tie with the given policy."""
+    """Execute one search, resolving every tie with the given tie-break."""
     require_connected(g)
     if g.n < 1:
         raise ValueError("run_search requires at least one vertex")

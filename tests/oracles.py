@@ -1,12 +1,17 @@
 """Independent membership oracles used to cross-check the package.
 
-Each oracle decides whether an ordering can be produced by the classic
-data-structure realization of a paradigm (FIFO queue, stack, partition
-refinement, label sets, counters).  They deliberately share no code with
-the package's triple-scan validators or candidate-rule executors.
+Each search oracle decides whether an ordering can be produced by the
+classic data-structure realization of a paradigm (FIFO queue, stack,
+partition refinement, label sets, counters).  They deliberately share no
+code with the package's triple-scan validators or candidate-rule
+executors.  ``first_induced_small`` is the brute-force reference for the
+package's 4-vertex pattern detector.
 """
 
-from searchorder import Graph, SearchKind
+from itertools import combinations, permutations
+
+from searchorder import C4, DIAMOND, P4, PAW, Graph, PatternHit, SearchKind
+from smallgraphs import cycle, diamond, path, paw
 
 
 def _neighbors(g: Graph, v: int) -> set[int]:
@@ -146,3 +151,19 @@ ORACLES = {
     SearchKind.MNS: is_mns_sim,
     SearchKind.MCS: is_mcs_sim,
 }
+
+
+SMALL_PATTERNS = {P4: path(4), C4: cycle(4), PAW: paw(), DIAMOND: diamond()}
+
+
+def first_induced_small(g: Graph, pattern: str):
+    """Lexicographically first induced embedding of a 4-vertex pattern:
+    every ordering of every 4-subset, in lexicographic order, is compared
+    pair by pair with the pattern on positions 0..3."""
+    target = SMALL_PATTERNS[pattern]
+    for subset in combinations(range(g.n), 4):
+        for mapped in permutations(subset):
+            if all(g.has_edge(mapped[i], mapped[j]) == target.has_edge(i, j)
+                   for i, j in combinations(range(4), 2)):
+                return PatternHit(pattern, mapped)
+    return None

@@ -319,6 +319,23 @@ class TestFormatDetection:
         code, out, _ = run_cli(capsys, ["classify", f, "--json"])
         assert json.loads(out)["complete_bipartite"] is True
 
+    def test_auto_detects_single_vertex_graph6(self, tmp_path, capsys):
+        # "@" is K1 in graph6 and an odd token count as an edge list
+        f = write(tmp_path, "g", "@")
+        code, out, _ = run_cli(capsys, ["classify", f, "--json"])
+        assert code == EXIT_OK
+        assert json.loads(out)["clique"] is True
+
+    @pytest.mark.parametrize("line, reason", [
+        ("A" + chr(63 + 0b100001), "padding"),  # K2 with a stray bit
+        ("~??~", "long-form"),
+    ])
+    def test_auto_rejects_malformed_graph6(self, tmp_path, capsys, line, reason):
+        f = write(tmp_path, "g", line)
+        code, _, err = run_cli(capsys, ["classify", f])
+        assert code == EXIT_PARSE
+        assert reason in err
+
     def test_explicit_format_override(self, tmp_path, capsys):
         # "@" is valid graph6 but would be an empty edge list
         f = write(tmp_path, "g", "@")

@@ -13,7 +13,7 @@ from searchorder import (
     parse_edge_list,
     parse_graph6,
 )
-from searchorder.graphs import bits, require_connected
+from searchorder.graphs import bits, component_mask, require_connected
 from smallgraphs import complete, cycle, path
 
 
@@ -107,6 +107,12 @@ class TestGraph6:
         with pytest.raises(Graph6ParseError, match="padding"):
             parse_graph6("A" + chr(63 + 0b100001))
 
+    def test_rejects_non_ascii_with_offset(self):
+        # would read as "A?" (the edgeless K2) if it were replaced by "?"
+        with pytest.raises(Graph6ParseError) as exc:
+            parse_graph6("A\u00e9")
+        assert exc.value.offset == 1
+
     def test_rejects_long_form(self):
         with pytest.raises(Graph6ParseError, match="long-form"):
             parse_graph6("~??")
@@ -162,6 +168,13 @@ class TestConnectivity:
     def test_empty_and_singleton_connected(self):
         assert is_connected(Graph(0))
         assert is_connected(Graph(1))
+
+    def test_component_mask(self):
+        g = Graph(5, [(0, 1), (2, 3), (3, 4)])
+        assert component_mask(g, 0) == 0b00011
+        assert component_mask(g, 4) == 0b11100
+        assert component_mask(g, 2, within=0b01100) == 0b01100
+        assert component_mask(g, 2, within=0b00100) == 0b00100
 
     def test_require_connected_raises(self):
         with pytest.raises(DisconnectedGraphError):

@@ -1,4 +1,7 @@
+from itertools import combinations
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from searchorder import (
     C4,
@@ -14,26 +17,25 @@ from searchorder import (
     paw_free_decomposition,
     recognize_structure,
 )
+from searchorder.patterns import (is_complete_bipartite,
+                                  is_complete_multipartite, is_forest)
+from oracles import SMALL_PATTERNS, first_induced_small
 from smallgraphs import (
     complete,
     complete_bipartite,
     complete_multipartite,
     cycle,
-    diamond,
     pan,
-    path,
     paw,
     sixcycle_with_handle,
     star,
 )
 
-PATTERN_BUILDERS = {P4: path(4), C4: cycle(4), PAW: paw(), DIAMOND: diamond()}
-
 
 class TestSmallPatternDetector:
     @pytest.mark.parametrize("pattern", [P4, C4, PAW, DIAMOND])
     def test_identity_embedding(self, pattern):
-        hit = find_induced_small(PATTERN_BUILDERS[pattern], pattern)
+        hit = find_induced_small(SMALL_PATTERNS[pattern], pattern)
         assert hit is not None
         assert sorted(hit.vertices) == [0, 1, 2, 3]
 
@@ -58,7 +60,7 @@ class TestSmallPatternDetector:
     @pytest.mark.parametrize("pattern", [P4, C4, PAW, DIAMOND])
     def test_hits_induce_the_pattern(self, pattern, graphs_upto_6):
         """Every reported embedding really induces the named pattern."""
-        reference = PATTERN_BUILDERS[pattern]
+        reference = SMALL_PATTERNS[pattern]
         for g in graphs_upto_6:
             hit = find_induced_small(g, pattern)
             if hit is None:
@@ -68,6 +70,30 @@ class TestSmallPatternDetector:
                                        mapping[hit.vertices[j]])))
                          for i, j in reference.edges()}
             assert {tuple(e) for e in sub.edges()} == relabeled
+
+
+def _all_graphs(n: int):
+    """Every labelled graph on n vertices, disconnected ones included."""
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        yield Graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+class TestFirstHitAgainstOracle:
+    """The reported embedding is the lexicographically first one, as the
+    24-permutation scan in ``oracles.first_induced_small`` finds it."""
+
+    @pytest.mark.parametrize("pattern", [P4, C4, PAW, DIAMOND])
+    def test_connected_upto_7(self, pattern, graphs_upto_7):
+        for g in graphs_upto_7:
+            assert find_induced_small(g, pattern) == first_induced_small(g, pattern), g
+
+    @pytest.mark.parametrize("pattern", [P4, C4, PAW, DIAMOND])
+    def test_every_labelled_graph_upto_5(self, pattern):
+        """n < 4 (no 4-subset) and disconnected inputs included."""
+        for n in range(6):
+            for g in _all_graphs(n):
+                assert find_induced_small(g, pattern) == first_induced_small(g, pattern), g
 
 
 class TestPanDetector:
@@ -181,6 +207,50 @@ class TestStructuralAgainstDetectors:
                 assert find_induced_small(g, PAW) is None
 
 
+@st.composite
+def random_graphs(draw):
+    """Graphs past the exhaustive sizes; the edge density is drawn too, so
+    sparse (often disconnected) and dense (often class-member) graphs both
+    occur."""
+    n = draw(st.integers(8, 13))
+    density = draw(st.integers(0, 100))
+    rng = draw(st.randoms(use_true_random=False))
+    return Graph(n, [(u, v) for u, v in combinations(range(n), 2)
+                     if rng.randrange(100) < density])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(random_graphs())
+def test_detectors_and_recognizers_past_exhaustive_sizes(g):
+    hits = {p: find_induced_small(g, p) for p in (P4, C4, PAW, DIAMOND)}
+    for pattern, hit in hits.items():
+        assert hit == first_induced_small(g, pattern)
+    label = recognize_structure(g)
+    if label.class_a is None:
+        return  # disconnected: the class flags are unavailable
+    p4, c4, paw_, dia = (hits[p] is None for p in (P4, C4, PAW, DIAMOND))
+    assert label.class_a == (p4 and c4 and paw_ and dia)
+    assert label.class_b == (find_induced_pan(g) is None and dia)
+    assert label.trivially_perfect == (p4 and c4)
+
+
+class TestRecognizerEdgeCases:
+    def test_edgeless_graph_is_not_complete_bipartite(self):
+        assert not is_complete_bipartite(Graph(3))
+
+    def test_2k2_is_not_complete_bipartite(self):
+        assert not is_complete_bipartite(Graph(4, [(0, 1), (2, 3)]))
+
+    def test_disconnected_forest(self):
+        assert is_forest(Graph(6, [(0, 1), (1, 2), (3, 4)]))
+
+    def test_disconnected_non_forest(self):
+        assert not is_forest(Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4)]))
+
+    def test_edgeless_graph_is_complete_multipartite(self):
+        assert is_complete_multipartite(Graph(4))
+
+
 class TestPawFreeDecomposition:
     def test_c5_triangle_free(self):
         assert paw_free_decomposition(cycle(5)).verdict == "triangle-free"
@@ -203,7 +273,6 @@ def test_complete_bipartite_recognizer(graphs_upto_6):
     """Independent oracle for connected graphs: vertex 0's non-neighbors
     (plus 0 itself) must form one independent side, the neighbors the
     other, with every cross pair an edge."""
-    from searchorder.patterns import is_complete_bipartite
     for g in graphs_upto_6:
         if g.n == 1:
             continue
