@@ -6,6 +6,7 @@ enumerated behavior.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 from .graphs import Graph, VertexOrdering, require_connected
@@ -15,7 +16,7 @@ from .searches import (DEFAULT_CAP, InconsistentStateError, SearchKind,
 # bench/spans.py rebinds that name to span the layer in traced runs.
 from .searches import enumerate_orderings  # noqa: F401
 from .validators import PointViolation, is_search_ordering
-from .patterns import recognize_structure
+from .patterns import ClassLabel, recognize_structure
 
 
 class SizeGuardError(ValueError):
@@ -69,18 +70,33 @@ def _first_outside(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
     completing it with min-index kind_x choices gives the first of them.
     ``cap`` bounds the complete orderings reached without a counterexample;
     the walk stops there, and then its verdict is not established.
+
+    Both paradigms' subtrees depend only on ``SearchState.key()``, so a
+    state whose key roots a subtree already walked without a counterexample
+    is not walked again: ``clean`` holds the number of complete orderings
+    in that subtree, and the walk stops at the cap inside it exactly when
+    those orderings would carry it past the cap.
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
     n = g.n
     complete = 0
     truncated = False
+    clean: dict[tuple[int, ...], int] = {}
 
     def walk(state: SearchState) -> Optional[tuple[int, ...]]:
         nonlocal complete, truncated
         if len(state.visited) == n:
             complete += 1
             return None
+        key = state.key()
+        if key in clean:
+            if complete + clean[key] > cap:
+                truncated = True
+            else:
+                complete += clean[key]
+            return None
+        before = complete
         allowed = candidates(g, kind_y, state)
         for v in sorted(candidates(g, kind_x, state)):
             if complete >= cap:
@@ -94,6 +110,7 @@ def _first_outside(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
             found = walk(nxt)
             if found is not None or truncated:
                 return found
+        clean[key] = complete - before
         return None
 
     witness = walk(SearchState(g))
@@ -122,6 +139,19 @@ def _one_direction(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
                              witness_vertex=vertex)
 
 
+def _both_directions(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
+                     cap: int) -> EquivalenceReport:
+    """Inclusion both ways; the first direction that fails is the report."""
+    forward = _one_direction(g, kind_x, kind_y, "equal", cap)
+    if not forward.verdict:
+        return forward
+    backward = _one_direction(g, kind_y, kind_x, "equal", cap)
+    if not backward.verdict:
+        return backward
+    return EquivalenceReport(kind_x, kind_y, "equal", True,
+                             truncated=forward.truncated or backward.truncated)
+
+
 def orderings_subset(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
                      cap: int = DEFAULT_CAP, max_n: int = 8,
                      allow_large: bool = False) -> EquivalenceReport:
@@ -135,14 +165,7 @@ def orderings_equal(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
                     allow_large: bool = False) -> EquivalenceReport:
     """Do kind_x and kind_y produce identical ordering sets on g?"""
     _guard(g, max_n, allow_large)
-    forward = _one_direction(g, kind_x, kind_y, "equal", cap)
-    if not forward.verdict:
-        return forward
-    backward = _one_direction(g, kind_y, kind_x, "equal", cap)
-    if not backward.verdict:
-        return backward
-    return EquivalenceReport(kind_x, kind_y, "equal", True,
-                             truncated=forward.truncated or backward.truncated)
+    return _both_directions(g, kind_x, kind_y, cap)
 
 
 # -- theorem checks ----------------------------------------------------
@@ -211,6 +234,13 @@ class TheoremReport:
         }
 
 
+@lru_cache(maxsize=1)
+def _structure(g: Graph) -> ClassLabel:
+    """recognize_structure, remembered for the last graph: a scan checks
+    every theorem on one graph before it moves to the next."""
+    return recognize_structure(g)
+
+
 def check_theorem(g: Graph, theorem: str, cap: int = DEFAULT_CAP,
                   max_n: int = 8, allow_large: bool = False) -> TheoremReport:
     """Compare a theorem's structural class prediction against the
@@ -218,7 +248,7 @@ def check_theorem(g: Graph, theorem: str, cap: int = DEFAULT_CAP,
     if theorem not in _THEOREM_ITEMS:
         raise ValueError(f"unknown theorem {theorem!r}; one of {THEOREMS}")
     _guard(g, max_n, allow_large)
-    label = recognize_structure(g)
+    label = _structure(g)
     prediction = bool(getattr(label, _THEOREM_PREDICTION_FLAG[theorem]))
     items = []
     reports = []
@@ -226,8 +256,7 @@ def check_theorem(g: Graph, theorem: str, cap: int = DEFAULT_CAP,
         if relation == "subset":
             report = _one_direction(g, kx, ky, relation, cap)
         else:
-            report = orderings_equal(g, kx, ky, cap=cap, max_n=max_n,
-                                     allow_large=True)
+            report = _both_directions(g, kx, ky, cap)
         items.append((name, report.verdict))
         reports.append(report)
     return TheoremReport(theorem, prediction, tuple(items), tuple(reports))

@@ -86,13 +86,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(self.adj[v].bit_count() for v in range(self.n)) // 2
 
-    def complement(self) -> "Graph":
-        full = (1 << self.n) - 1
-        g = Graph.__new__(Graph)
-        g.n = self.n
-        g.adj = tuple((full ^ self.adj[v]) & ~(1 << v) for v in range(self.n))
-        return g
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self.n == other.n and self.adj == other.adj
 

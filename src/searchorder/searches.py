@@ -75,6 +75,23 @@ class SearchState:
         """MNS label: bitmask of visited neighbors of v."""
         return self.graph.adj[v] & self.visited_mask
 
+    def key(self) -> tuple[int, ...]:
+        """The unvisited mask, then the unvisited neighbourhood of each
+        visited vertex that still has one, in visiting order.
+
+        Every paradigm's candidates, at this state and after any extension
+        of it, depend only on this key, so states with equal keys root
+        identical search trees.  Generic, MNS and MCS read only the sets or
+        counts of visited neighbours of unvisited vertices.  BFS, DFS,
+        LexBFS and LexDFS read only the relative order of the visiting
+        positions of those neighbours.  A visited vertex without unvisited
+        neighbours is nobody's visited neighbour now or later, so it can
+        never matter again.
+        """
+        rest = ~self.visited_mask
+        adj = self.graph.adj
+        return (rest, *[a for u in self.visited if (a := adj[u] & rest)])
+
 
 def candidates(g: Graph, kind: SearchKind, state: SearchState) -> set[int]:
     """The exact set of vertices the paradigm permits as the next choice."""

@@ -19,7 +19,9 @@ from searchorder import (
     orderings_equal,
     orderings_subset,
 )
-from searchorder.equivalence import _THEOREM_ITEMS, _one_direction
+from searchorder import equivalence
+from searchorder.equivalence import (_THEOREM_ITEMS, _first_outside,
+                                     _one_direction)
 from searchorder.validators import PointViolation
 from smallgraphs import (
     MNS_NOT_MCS_BROKEN_EXAMPLE,
@@ -210,3 +212,44 @@ def test_walk_matches_enumerate_then_validate(graphs_upto_6):
             got = _one_direction(g, kx, ky, relation, cap=10_000_000).to_dict()
             assert got == _enumerate_then_validate(g, kx, ky, relation), \
                 (g, kx, ky)
+
+
+def test_walk_stops_at_every_cap_as_the_enumeration_does(graphs_upto_5):
+    """With o_j the first kind_x ordering that kind_y rejects, a walk capped
+    at c finds o_j iff the j - 1 orderings before it fit under c; without
+    such an ordering it is truncated iff the m orderings exceed c."""
+    for g in graphs_upto_5:
+        for kx in SearchKind:
+            orderings = enumerate_orderings(g, kx).orderings
+            m = len(orderings)
+            for ky in SearchKind:
+                j, first = next(
+                    ((j, o) for j, o in enumerate(orderings, 1)
+                     if not is_search_ordering(g, o, ky)[0]), (None, None))
+                for cap in range(1, m + 2):
+                    if first is None:
+                        expected = (None, m > cap)
+                    elif j - 1 < cap:
+                        expected = (first, False)
+                    else:
+                        expected = (None, True)
+                    assert _first_outside(g, kx, ky, cap) == expected, \
+                        (g, kx, ky, cap)
+
+
+def test_clique_walks_each_search_state_once(monkeypatch):
+    """Every item holds on K7, so each walk covers its whole tree; walking
+    each distinct search state once keeps the four theorems within 5,000
+    candidate calls, where walking every prefix takes 190,520."""
+    calls = 0
+    real = equivalence.candidates
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(equivalence, "candidates", counted)
+    for theorem in (THEOREM_A, THEOREM_B, THEOREM_C, COROLLARY_A5A6):
+        assert check_theorem(complete(7), theorem).consistent
+    assert calls <= 5_000

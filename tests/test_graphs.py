@@ -41,10 +41,6 @@ class TestGraph:
         assert list(g.neighbors(2)) == [0, 1, 3]
         assert list(g.neighbors(0)) == [2]
 
-    def test_complement(self):
-        g = path(3).complement()
-        assert g.edges() == [(0, 2)]
-
     def test_equality_and_hash(self):
         assert path(3) == Graph(3, [(1, 2), (0, 1)])
         assert hash(path(3)) == hash(Graph(3, [(1, 2), (0, 1)]))

@@ -1,6 +1,7 @@
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from searchorder import (
     DisconnectedGraphError,
@@ -10,8 +11,10 @@ from searchorder import (
     TieBreak,
     candidates,
     enumerate_orderings,
+    is_search_ordering,
     run_search,
 )
+from searchorder.graphs import bits
 from searchorder.searches import InconsistentStateError
 from oracles import ORACLES
 from smallgraphs import complete, complete_bipartite, cycle, pan, path, paw, star
@@ -68,6 +71,39 @@ class TestCandidates:
         state = SearchState(path(3), (0,))
         with pytest.raises(InconsistentStateError):
             candidates(cycle(4), SearchKind.BFS, state)
+
+
+def _generic_prefixes(g):
+    """Every incomplete state a generic search of g can reach, the root
+    included."""
+    stack = [SearchState(g)]
+    while stack:
+        state = stack.pop()
+        if len(state.visited) < g.n:
+            yield state
+            stack.extend(state.extend(v)
+                         for v in candidates(g, SearchKind.GENERIC, state))
+
+
+def test_equal_keys_give_equal_candidates(graphs_upto_6):
+    """The memo of the inclusion walk relies on this: states with equal
+    keys offer equal candidates for every kind, and so do their equal
+    extensions."""
+    compared = 0
+    for g in graphs_upto_6:
+        first = {}
+        for state in _generic_prefixes(g):
+            seen = first.setdefault(state.key(), state)
+            if seen is state:
+                continue
+            compared += 1
+            for kind in ALL_KINDS:
+                assert candidates(g, kind, state) == \
+                    candidates(g, kind, seen), (g, state.visited, seen.visited)
+            fringe = state.reached_mask & ~state.visited_mask
+            for v in bits(fringe):
+                assert state.extend(v).key() == seen.extend(v).key()
+    assert compared > 10_000
 
 
 class TestRunSearch:
@@ -179,3 +215,25 @@ class TestAgainstSimulationOracles:
             enumerated = set(enumerate_orderings(g, kind).orderings)
             accepted = {p for p in permutations(range(g.n)) if oracle(g, p)}
             assert enumerated == accepted, (g, kind)
+
+
+@st.composite
+def random_connected_graphs(draw):
+    """A random spanning tree plus edges at a drawn density, so both sparse
+    and dense connected graphs occur."""
+    n = draw(st.integers(8, 14))
+    density = draw(st.integers(0, 100))
+    rng = draw(st.randoms(use_true_random=False))
+    tree = [(rng.randrange(v), v) for v in range(1, n)]
+    extra = [(u, v) for u, v in combinations(range(n), 2)
+             if rng.randrange(100) < density]
+    return Graph(n, tree + extra)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(random_connected_graphs(), st.integers(0, 2**32))
+def test_seeded_searches_past_exhaustive_sizes(g, seed):
+    for kind in ALL_KINDS:
+        order = run_search(g, kind, TieBreak.seeded(seed))
+        assert is_search_ordering(g, order, kind)[0], (g, kind, order)
+        assert ORACLES[kind](g, order), (g, kind, order)
