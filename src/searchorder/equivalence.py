@@ -9,9 +9,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
-from .graphs import Graph, VertexOrdering, require_connected
+from .graphs import Graph, VertexOrdering, bits, require_connected
 from .searches import (DEFAULT_CAP, InconsistentStateError, SearchKind,
-                       SearchState, candidates)
+                       SearchState, candidate_mask)
 # Not called here, but importable as ``equivalence.enumerate_orderings``:
 # bench/spans.py rebinds that name to span the layer in traced runs.
 from .searches import enumerate_orderings  # noqa: F401
@@ -97,15 +97,16 @@ def _first_outside(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
                 complete += clean[key]
             return None
         before = complete
-        allowed = candidates(g, kind_y, state)
-        for v in sorted(candidates(g, kind_x, state)):
+        allowed = candidate_mask(g, kind_y, state)
+        for v in bits(candidate_mask(g, kind_x, state)):
             if complete >= cap:
                 truncated = True
                 return None
             nxt = state.extend(v)
-            if v not in allowed:
+            if not allowed >> v & 1:
                 while len(nxt.visited) < n:
-                    nxt = nxt.extend(min(candidates(g, kind_x, nxt)))
+                    options = candidate_mask(g, kind_x, nxt)
+                    nxt = nxt.extend((options & -options).bit_length() - 1)
                 return nxt.visited
             found = walk(nxt)
             if found is not None or truncated:

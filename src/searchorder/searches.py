@@ -1,9 +1,10 @@
 """Executable search paradigms and exhaustive enumeration of their orderings.
 
 Each paradigm is realized by a per-step candidate rule; an ordering is
-produced by repeatedly picking one candidate.  The rules here are the
-standard executor realizations and are *not* trusted: the test suite
-checks them exhaustively against the point-condition validators.
+produced by repeatedly picking one candidate.  The rules here find each
+candidate set with a few bitmask operations and are *not* trusted: the
+test suite checks them exhaustively against the point-condition
+validators and against a reference that compares labels.
 """
 
 from __future__ import annotations
@@ -71,10 +72,6 @@ class SearchState:
         state.reached_mask = self.reached_mask | self.graph.adj[v]
         return state
 
-    def visited_neighbor_set(self, v: int) -> int:
-        """MNS label: bitmask of visited neighbors of v."""
-        return self.graph.adj[v] & self.visited_mask
-
     def key(self) -> tuple[int, ...]:
         """The unvisited mask, then the unvisited neighbourhood of each
         visited vertex that still has one, in visiting order.
@@ -93,67 +90,108 @@ class SearchState:
         return (rest, *[a for u in self.visited if (a := adj[u] & rest)])
 
 
-def candidates(g: Graph, kind: SearchKind, state: SearchState) -> set[int]:
-    """The exact set of vertices the paradigm permits as the next choice."""
+# Candidate rules: each maps (adjacency masks, visited sequence, visited
+# mask, fringe) to the mask of permitted next vertices; the fringe is the
+# unvisited vertices with a visited neighbour.
+
+def _generic(adj, visited, mask, fringe):
+    return fringe
+
+
+def _first_active(adj, order, fringe):
+    """The unvisited neighbourhood of the first vertex in ``order`` that
+    still has one: the head of BFS's queue, or the top of DFS's stack."""
+    for u in order:
+        if adj[u] & fringe:
+            return adj[u] & fringe
+    return 0
+
+
+def _bfs(adj, visited, mask, fringe):
+    return _first_active(adj, visited, fringe)
+
+
+def _dfs(adj, visited, mask, fringe):
+    return _first_active(adj, reversed(visited), fringe)
+
+
+def _refine(adj, order, fringe):
+    """Partition refinement: each vertex of ``order`` in turn keeps its
+    neighbours among the best so far, unless it has none there."""
+    best = fringe
+    for u in order:
+        if best & (best - 1) == 0:
+            break
+        if adj[u] & best:
+            best &= adj[u]
+    return best
+
+
+def _lexbfs(adj, visited, mask, fringe):
+    return _refine(adj, visited, fringe)
+
+
+def _lexdfs(adj, visited, mask, fringe):
+    return _refine(adj, reversed(visited), fringe)
+
+
+def _mns(adj, visited, mask, fringe):
+    """Fringe vertices grouped by visited neighbourhood; the groups whose
+    neighbourhood is not strictly inside another one."""
+    groups: dict[int, int] = {}
+    for v in bits(fringe):
+        label = adj[v] & mask
+        groups[label] = groups.get(label, 0) | 1 << v
+    best = 0
+    for label, group in groups.items():
+        if not any(label != other and label | other == other
+                   for other in groups):
+            best |= group
+    return best
+
+
+def _mcs(adj, visited, mask, fringe):
+    """Fringe vertices with the most visited neighbours."""
+    best = 0
+    top = -1
+    for v in bits(fringe):
+        count = (adj[v] & mask).bit_count()
+        if count > top:
+            best, top = 1 << v, count
+        elif count == top:
+            best |= 1 << v
+    return best
+
+
+_RULES = {
+    SearchKind.GENERIC: _generic,
+    SearchKind.BFS: _bfs,
+    SearchKind.DFS: _dfs,
+    SearchKind.LEXBFS: _lexbfs,
+    SearchKind.LEXDFS: _lexdfs,
+    SearchKind.MNS: _mns,
+    SearchKind.MCS: _mcs,
+}
+
+
+def candidate_mask(g: Graph, kind: SearchKind, state: SearchState) -> int:
+    """The exact set of vertices the paradigm permits as the next choice,
+    as a bitmask; 0 once every vertex is visited."""
     if state.graph is not g:
         if state.graph != g:
             raise InconsistentStateError("state belongs to a different graph")
-    if not state.visited:
-        return set(range(g.n))
+    if not state.visited_mask:
+        return (1 << g.n) - 1
+    rule = _RULES.get(kind)
+    if rule is None:
+        raise ValueError(f"unhandled search kind {kind}")
     mask = state.visited_mask
-    fringe = state.reached_mask & ~mask
-    if kind is SearchKind.GENERIC:
-        return set(bits(fringe))
+    return rule(g.adj, state.visited, mask, state.reached_mask & ~mask)
 
-    if kind is SearchKind.BFS:
-        # FIFO layer heads: minimal rank of the earliest visited neighbor.
-        best_rank = None
-        best: set[int] = set()
-        pos = {u: i for i, u in enumerate(state.visited)}
-        for v in bits(fringe):
-            rank = min(pos[u] for u in bits(g.adj[v] & mask))
-            if best_rank is None or rank < best_rank:
-                best_rank, best = rank, {v}
-            elif rank == best_rank:
-                best.add(v)
-        return best
 
-    if kind is SearchKind.DFS:
-        # Unvisited neighbors of the deepest visited vertex that has any.
-        for u in reversed(state.visited):
-            unvisited = g.adj[u] & ~mask
-            if unvisited:
-                return set(bits(unvisited))
-        return set()
-
-    if kind is SearchKind.LEXBFS or kind is SearchKind.LEXDFS:
-        n = g.n
-        labels = {}
-        for v in bits(fringe):
-            steps = [i for i, u in enumerate(state.visited) if g.adj[v] >> u & 1]
-            if kind is SearchKind.LEXBFS:
-                # earlier discoverers carry more weight
-                labels[v] = tuple(n - i for i in steps)
-            else:
-                # most recent discoverers carry more weight
-                labels[v] = tuple(i + 1 for i in reversed(steps))
-        top = max(labels.values())
-        return {v for v, lab in labels.items() if lab == top}
-
-    if kind is SearchKind.MNS:
-        labs = {v: state.visited_neighbor_set(v) for v in bits(fringe)}
-        out = set()
-        for v, lv in labs.items():
-            if not any(lv != lu and lv | lu == lu for lu in labs.values()):
-                out.add(v)
-        return out
-
-    if kind is SearchKind.MCS:
-        counts = {v: (g.adj[v] & mask).bit_count() for v in bits(fringe)}
-        top = max(counts.values())
-        return {v for v, c in counts.items() if c == top}
-
-    raise ValueError(f"unhandled search kind {kind}")
+def candidates(g: Graph, kind: SearchKind, state: SearchState) -> set[int]:
+    """The exact set of vertices the paradigm permits as the next choice."""
+    return set(bits(candidate_mask(g, kind, state)))
 
 
 # -- tie breaking ------------------------------------------------------
@@ -238,8 +276,6 @@ def enumerate_orderings(g: Graph, kind: SearchKind,
     if n == 0:
         return EnumerationResult((), False)
 
-    adj = g.adj
-
     def recurse(state: SearchState) -> bool:
         nonlocal truncated
         if len(state.visited) == n:
@@ -248,7 +284,7 @@ def enumerate_orderings(g: Graph, kind: SearchKind,
                 truncated = True
                 return False
             return True
-        for v in sorted(candidates(g, kind, state)):
+        for v in bits(candidate_mask(g, kind, state)):
             if not recurse(state.extend(v)):
                 return False
         return True

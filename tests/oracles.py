@@ -4,8 +4,9 @@ Each search oracle decides whether an ordering can be produced by the
 classic data-structure realization of a paradigm (FIFO queue, stack,
 partition refinement, label sets, counters).  They deliberately share no
 code with the package's triple-scan validators or candidate-rule
-executors.  ``first_induced_small`` is the brute-force reference for the
-package's 4-vertex pattern detector.
+executors.  ``reference_candidates`` is the label-comparing reference for
+the package's bitmask candidate rules, and ``first_induced_small`` the
+brute-force reference for its 4-vertex pattern detector.
 """
 
 from itertools import combinations, permutations
@@ -151,6 +152,58 @@ ORACLES = {
     SearchKind.MNS: is_mns_sim,
     SearchKind.MCS: is_mcs_sim,
 }
+
+
+def reference_candidates(g: Graph, kind: SearchKind, visited) -> set[int]:
+    """The vertices the paradigm permits after the prefix ``visited``, found
+    by building each fringe vertex's label and keeping the best ones."""
+    visited = tuple(visited)
+    if not visited:
+        return set(range(g.n))
+    seen = set(visited)
+    fringe = {w for u in visited for w in _neighbors(g, u)} - seen
+    if not fringe:
+        return set()
+    if kind is SearchKind.GENERIC:
+        return fringe
+
+    if kind is SearchKind.BFS:
+        # FIFO layer heads: minimal rank of the earliest visited neighbor.
+        rank = {v: min(i for i, u in enumerate(visited) if g.has_edge(u, v))
+                for v in fringe}
+        top = min(rank.values())
+        return {v for v, r in rank.items() if r == top}
+
+    if kind is SearchKind.DFS:
+        # Unvisited neighbors of the deepest visited vertex that has any.
+        for u in reversed(visited):
+            if _neighbors(g, u) - seen:
+                return _neighbors(g, u) - seen
+
+    if kind is SearchKind.LEXBFS or kind is SearchKind.LEXDFS:
+        labels = {}
+        for v in fringe:
+            steps = [i for i, u in enumerate(visited) if g.has_edge(u, v)]
+            if kind is SearchKind.LEXBFS:
+                # earlier discoverers carry more weight
+                labels[v] = tuple(g.n - i for i in steps)
+            else:
+                # most recent discoverers carry more weight
+                labels[v] = tuple(i + 1 for i in reversed(steps))
+        top = max(labels.values())
+        return {v for v, lab in labels.items() if lab == top}
+
+    if kind is SearchKind.MNS:
+        labs = {v: _neighbors(g, v) & seen for v in fringe}
+        return {v for v, lv in labs.items()
+                if not any(lv < lu for lu in labs.values())}
+
+    if kind is SearchKind.MCS:
+        counts = {v: len(_neighbors(g, v) & seen) for v in fringe}
+        top = max(counts.values())
+        return {v for v, c in counts.items() if c == top}
+
+    raise ValueError(f"unhandled search kind {kind}")
 
 
 SMALL_PATTERNS = {P4: path(4), C4: cycle(4), PAW: paw(), DIAMOND: diamond()}

@@ -1,9 +1,15 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import searchorder
 from searchorder import cli, emit_graph6
+from searchorder.inventory import load_packaged_inventory
 from searchorder.cli import (
     EXIT_DISCONNECTED,
     EXIT_NEGATIVE,
@@ -258,6 +264,22 @@ class TestScan:
         assert code == EXIT_OK
         assert "1 graphs processed" in err
         assert "2 lines skipped" in err
+
+    def test_runs_as_module_without_install(self):
+        lines = [line for line in load_packaged_inventory()
+                 if searchorder.parse_graph6(line).n <= 4]
+        src = str(Path(searchorder.__file__).parent.parent)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-m", "searchorder", "scan", "-"],
+            input="\n".join(lines) + "\n", capture_output=True, text=True,
+            env=env, timeout=120)
+        assert done.returncode == EXIT_OK, done.stderr
+        assert done.stdout == ""
+        assert f"{len(lines)} graphs processed, 0 inconsistencies" \
+            in done.stderr
 
     def test_jobs_agree_with_serial(self, tmp_path, capsys):
         lines = [emit_graph6(g) for g in

@@ -16,7 +16,7 @@ from searchorder import (
 )
 from searchorder.graphs import bits
 from searchorder.searches import InconsistentStateError
-from oracles import ORACLES
+from oracles import ORACLES, reference_candidates
 from smallgraphs import complete, complete_bipartite, cycle, pan, path, paw, star
 
 ALL_KINDS = list(SearchKind)
@@ -62,6 +62,11 @@ class TestCandidates:
         state = SearchState(g, (0, 1))
         assert candidates(g, SearchKind.MCS, state) == {2}
 
+    def test_complete_prefix_has_no_candidates(self):
+        g = path(3)
+        for kind in ALL_KINDS:
+            assert candidates(g, kind, SearchState(g, (0, 1, 2))) == set()
+
     def test_rejects_duplicate_visit(self):
         g = path(3)
         with pytest.raises(InconsistentStateError):
@@ -104,6 +109,21 @@ def test_equal_keys_give_equal_candidates(graphs_upto_6):
             for v in bits(fringe):
                 assert state.extend(v).key() == seen.extend(v).key()
     assert compared > 10_000
+
+
+def test_candidates_match_reference_rules(graphs_upto_6):
+    """The bitmask rules give the label-comparing reference's sets for every
+    kind at every incomplete prefix of a generic search, on every connected
+    graph with n <= 6."""
+    compared = 0
+    for g in graphs_upto_6:
+        for state in _generic_prefixes(g):
+            compared += 1
+            for kind in ALL_KINDS:
+                assert candidates(g, kind, state) == \
+                    reference_candidates(g, kind, state.visited), \
+                    (g, kind, state.visited)
+    assert compared == 63_162
 
 
 class TestRunSearch:
@@ -237,3 +257,19 @@ def test_seeded_searches_past_exhaustive_sizes(g, seed):
         order = run_search(g, kind, TieBreak.seeded(seed))
         assert is_search_ordering(g, order, kind)[0], (g, kind, order)
         assert ORACLES[kind](g, order), (g, kind, order)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(random_connected_graphs(), st.randoms(use_true_random=False))
+def test_candidates_match_reference_past_exhaustive_sizes(g, rng):
+    """Every prefix of a random generic search, the complete one included."""
+    state = SearchState(g)
+    while True:
+        for kind in ALL_KINDS:
+            assert candidates(g, kind, state) == \
+                reference_candidates(g, kind, state.visited), \
+                (g, kind, state.visited)
+        if len(state.visited) == g.n:
+            break
+        options = sorted(candidates(g, SearchKind.GENERIC, state))
+        state = state.extend(rng.choice(options))
