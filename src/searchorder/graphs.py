@@ -3,7 +3,7 @@ edge-list ingestion.
 
 Adjacency is kept as one bitmask per vertex (graphs here never exceed a
 few dozen vertices), which makes the candidate-set intersections in the
-search executors and the triple scans in the validators cheap.
+search executors and the pair scans in the validators cheap.
 """
 
 from __future__ import annotations
@@ -142,7 +142,7 @@ def parse_graph6(line: str) -> Graph:
     if text.startswith(_G6_HEADER):
         text = text[len(_G6_HEADER):]
     if not text:
-        raise Graph6ParseError("empty graph6 record")
+        raise Graph6ParseError("empty graph6 record", offset=0)
     for i, byte in enumerate(map(ord, text)):
         if not 63 <= byte <= 126:
             raise Graph6ParseError(f"non-printable graph6 byte {byte}", offset=i)
@@ -202,13 +202,20 @@ def emit_graph6(g: Graph) -> str:
 
 # -- edge lists --------------------------------------------------------
 
+# Far more vertices than any search here can handle, and few enough that a
+# mistyped index cannot make ``Graph`` allocate gigabytes.
+EDGE_LIST_MAX_VERTICES = 4096
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse whitespace-separated vertex pairs, one edge per line.
 
     An optional leading line ``n <count>`` declares the vertex count;
     otherwise it is max index + 1.  Lines starting with ``#`` are
-    comments.  Duplicate edges collapse; loops are rejected.
+    comments.  Duplicate edges collapse; loops are rejected.  Every error
+    names its line.
     """
+    limit = EDGE_LIST_MAX_VERTICES
     declared_n = None
     edges = []
     max_vertex = -1
@@ -228,6 +235,11 @@ def parse_edge_list(text: str) -> Graph:
                     f"non-integer vertex count {tokens[1]!r}", line=lineno) from None
             if declared_n < 0:
                 raise EdgeListParseError("negative vertex count", line=lineno)
+            if declared_n > EDGE_LIST_MAX_VERTICES:
+                raise EdgeListParseError(
+                    f"vertex count {declared_n} exceeds the limit "
+                    f"{EDGE_LIST_MAX_VERTICES}", line=lineno)
+            limit = declared_n
             saw_content = True
             continue
         saw_content = True
@@ -243,12 +255,14 @@ def parse_edge_list(text: str) -> Graph:
                 raise EdgeListParseError(f"negative vertex index", line=lineno)
             if u == v:
                 raise EdgeListParseError(f"loop edge ({u} {u}) rejected", line=lineno)
+            top = max(u, v)
+            if top >= limit:
+                bound = "declared count" if declared_n is not None else "limit"
+                raise EdgeListParseError(
+                    f"vertex {top} exceeds {bound} {limit}", line=lineno)
             edges.append((u, v))
-            max_vertex = max(max_vertex, u, v)
+            max_vertex = max(max_vertex, top)
     n = declared_n if declared_n is not None else max_vertex + 1
-    if max_vertex >= n:
-        raise EdgeListParseError(
-            f"vertex {max_vertex} exceeds declared count {n}")
     return Graph(n, edges)
 
 

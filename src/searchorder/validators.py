@@ -4,8 +4,10 @@ BFS, DFS, LexBFS, LexDFS and MNS are decided by their three-point
 characterizations (plus the generic prefix condition); generic search by
 the prefix condition alone; MCS, which has no point condition here, by
 step-by-step simulation.  These validators are the oracles every
-executor in this package is tested against, so they stay as direct
-triple scans over adjacency bitmasks.
+executor in this package is tested against, so they read the conditions
+directly off adjacency bitmasks: the point conditions are a scan over
+position pairs (a, b) whose candidates for c, and the c that violate the
+clause, are found with mask operations instead of a loop over every c.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .graphs import Graph, VertexOrdering, require_connected
+from .graphs import Graph, VertexOrdering, bits, require_connected
 from .searches import SearchKind
 
 
@@ -58,28 +60,35 @@ def is_generic_order(g: Graph, sigma) -> tuple[bool, Optional[int]]:
     return True, None
 
 
-# Clause of the point condition per kind, given prefix masks:
-#   before_a = vertices strictly before a, between = strictly between a and b,
-#   before_b = vertices strictly before b.
-_POINT_KINDS = (SearchKind.BFS, SearchKind.DFS, SearchKind.LEXBFS,
-                SearchKind.LEXDFS, SearchKind.MNS)
-
-_CLAUSE_TEXT = {
-    SearchKind.BFS: "no d before a with db an edge",
-    SearchKind.DFS: "no d between a and b with db an edge",
-    SearchKind.LEXBFS: "no d before a with db an edge and dc a non-edge",
-    SearchKind.LEXDFS: "no d between a and b with db an edge and dc a non-edge",
-    SearchKind.MNS: "no d before b with db an edge and dc a non-edge",
+# The point condition of each kind: for a <s b <s c with ac an edge and ab
+# a non-edge, some d in X with db an edge (and, for the Lex kinds and MNS,
+# dc a non-edge) must exist.  X is a prefix of sigma given by where it ends
+# (at a or at b) and whether it starts after a.  Per kind: (X ends at b,
+# X starts after a, the clause also needs dc a non-edge, the clause's text).
+_CLAUSES = {
+    SearchKind.BFS: (False, False, False, "no d before a with db an edge"),
+    SearchKind.DFS: (True, True, False, "no d between a and b with db an edge"),
+    SearchKind.LEXBFS: (False, False, True,
+                        "no d before a with db an edge and dc a non-edge"),
+    SearchKind.LEXDFS: (True, True, True,
+                        "no d between a and b with db an edge and dc a non-edge"),
+    SearchKind.MNS: (True, False, True,
+                     "no d before b with db an edge and dc a non-edge"),
 }
 
 
 def check_point_condition(g: Graph, sigma,
                           kind: SearchKind) -> tuple[bool, Optional[PointViolation]]:
-    """Scan all position triples i < j < k for a violation of the kind's
+    """Scan the position pairs i < j for a violation of the kind's
     three-point condition.  The first violation in (pos a, pos b, pos c)
     order is reported."""
-    if kind not in _POINT_KINDS:
+    clause = _CLAUSES.get(kind)
+    if clause is None:
         raise ValueError(f"{kind} has no point condition; use is_search_ordering")
+    upto_b, after_a, needs_non_edge, reason = clause
+    # When X is "before b" (MNS), D depends only on b, so the common
+    # neighbourhood of D is cached per position of b.
+    per_b = upto_b and not after_a
     sigma = _as_ordering(g, sigma)
     order = sigma.order
     n = g.n
@@ -88,31 +97,48 @@ def check_point_condition(g: Graph, sigma,
     prefix = [0] * (n + 1)
     for i, v in enumerate(order):
         prefix[i + 1] = prefix[i] | 1 << v
+    common_of_b = [None] * n
     for i in range(n):
         a = order[i]
+        na = adj[a]
+        x_start = ~prefix[i + 1] if after_a else -1
         before_a = prefix[i]
         for j in range(i + 1, n):
+            # cs = the neighbours of a after b: the candidates for c
+            cs = na & ~prefix[j + 1]
+            if not cs:
+                break
             b = order[j]
-            if adj[a] >> b & 1:
+            if na >> b & 1:
                 continue
-            nb = adj[b]
-            between = prefix[j] & ~prefix[i + 1]
-            for k in range(j + 1, n):
-                c = order[k]
-                if not adj[a] >> c & 1:
-                    continue
-                if kind is SearchKind.BFS:
-                    ok = nb & before_a
-                elif kind is SearchKind.DFS:
-                    ok = nb & between
-                elif kind is SearchKind.LEXBFS:
-                    ok = nb & before_a & ~adj[c]
-                elif kind is SearchKind.LEXDFS:
-                    ok = nb & between & ~adj[c]
-                else:  # MNS
-                    ok = nb & prefix[j] & ~adj[c]
-                if not ok:
-                    return False, PointViolation(a, b, c, kind, _CLAUSE_TEXT[kind])
+            ds = adj[b] & x_start & (prefix[j] if upto_b else before_a)
+            # c violates iff no d in D = {d in X : db an edge} satisfies the
+            # clause: iff D is empty (BFS, DFS), or iff c is adjacent to
+            # every d in D (the Lex kinds and MNS)
+            if not needs_non_edge:
+                bad = 0 if ds else cs
+            elif per_b:
+                common = common_of_b[j]
+                if common is None:
+                    common = -1
+                    for d in bits(ds):
+                        common &= adj[d]
+                        if not common:
+                            break
+                    common_of_b[j] = common
+                bad = cs & common
+            else:
+                bad = cs
+                for d in bits(ds):
+                    bad &= adj[d]
+                    if not bad:
+                        break
+            if bad:
+                # the violating c that comes first in sigma
+                for k in range(j + 1, n):
+                    c = order[k]
+                    if bad >> c & 1:
+                        return False, PointViolation(a, b, c, kind, reason)
     return True, None
 
 

@@ -3,15 +3,18 @@
 Each search oracle decides whether an ordering can be produced by the
 classic data-structure realization of a paradigm (FIFO queue, stack,
 partition refinement, label sets, counters).  They deliberately share no
-code with the package's triple-scan validators or candidate-rule
+code with the package's point-condition validators or candidate-rule
 executors.  ``reference_candidates`` is the label-comparing reference for
-the package's bitmask candidate rules, and ``first_induced_small`` the
-brute-force reference for its 4-vertex pattern detector.
+the package's bitmask candidate rules, ``reference_point_condition`` the
+triple-scan reference for its pair-scan point-condition validator, and
+``first_induced_small`` the brute-force reference for its 4-vertex
+pattern detector.
 """
 
 from itertools import combinations, permutations
 
-from searchorder import C4, DIAMOND, P4, PAW, Graph, PatternHit, SearchKind
+from searchorder import (C4, DIAMOND, P4, PAW, Graph, PatternHit, PointViolation,
+                         SearchKind, VertexOrdering)
 from smallgraphs import cycle, diamond, path, paw
 
 
@@ -204,6 +207,59 @@ def reference_candidates(g: Graph, kind: SearchKind, visited) -> set[int]:
         return {v for v, c in counts.items() if c == top}
 
     raise ValueError(f"unhandled search kind {kind}")
+
+
+_POINT_KINDS = (SearchKind.BFS, SearchKind.DFS, SearchKind.LEXBFS,
+                SearchKind.LEXDFS, SearchKind.MNS)
+
+_CLAUSE_TEXT = {
+    SearchKind.BFS: "no d before a with db an edge",
+    SearchKind.DFS: "no d between a and b with db an edge",
+    SearchKind.LEXBFS: "no d before a with db an edge and dc a non-edge",
+    SearchKind.LEXDFS: "no d between a and b with db an edge and dc a non-edge",
+    SearchKind.MNS: "no d before b with db an edge and dc a non-edge",
+}
+
+
+def reference_point_condition(g: Graph, sigma, kind: SearchKind):
+    """Scan all position triples i < j < k for a violation of the kind's
+    three-point condition.  The first violation in (pos a, pos b, pos c)
+    order is reported."""
+    if kind not in _POINT_KINDS:
+        raise ValueError(f"{kind} has no point condition; use is_search_ordering")
+    order = VertexOrdering(sigma).order
+    n = g.n
+    adj = g.adj
+    # prefix[i] = bitmask of the first i vertices of sigma
+    prefix = [0] * (n + 1)
+    for i, v in enumerate(order):
+        prefix[i + 1] = prefix[i] | 1 << v
+    for i in range(n):
+        a = order[i]
+        before_a = prefix[i]
+        for j in range(i + 1, n):
+            b = order[j]
+            if adj[a] >> b & 1:
+                continue
+            nb = adj[b]
+            between = prefix[j] & ~prefix[i + 1]
+            for k in range(j + 1, n):
+                c = order[k]
+                if not adj[a] >> c & 1:
+                    continue
+                if kind is SearchKind.BFS:
+                    ok = nb & before_a
+                elif kind is SearchKind.DFS:
+                    ok = nb & between
+                elif kind is SearchKind.LEXBFS:
+                    ok = nb & before_a & ~adj[c]
+                elif kind is SearchKind.LEXDFS:
+                    ok = nb & between & ~adj[c]
+                else:  # MNS
+                    ok = nb & prefix[j] & ~adj[c]
+                if not ok:
+                    return False, PointViolation(a, b, c, kind, _CLAUSE_TEXT[kind])
+    return True, None
 
 
 SMALL_PATTERNS = {P4: path(4), C4: cycle(4), PAW: paw(), DIAMOND: diamond()}

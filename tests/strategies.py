@@ -1,0 +1,33 @@
+"""Hypothesis strategies for graphs past the exhaustive sizes.
+
+The edge density is drawn too, so sparse and dense graphs both occur.
+"""
+
+from itertools import combinations
+
+from hypothesis import strategies as st
+
+from searchorder import Graph
+
+
+@st.composite
+def random_graphs(draw, min_n=8, max_n=13):
+    """Any graph; sparse ones are often disconnected and dense ones often
+    class members."""
+    n = draw(st.integers(min_n, max_n))
+    density = draw(st.integers(0, 100))
+    rng = draw(st.randoms(use_true_random=False))
+    return Graph(n, [(u, v) for u, v in combinations(range(n), 2)
+                     if rng.randrange(100) < density])
+
+
+@st.composite
+def random_connected_graphs(draw, min_n=8, max_n=14):
+    """A random spanning tree plus edges at a drawn density."""
+    n = draw(st.integers(min_n, max_n))
+    density = draw(st.integers(0, 100))
+    rng = draw(st.randoms(use_true_random=False))
+    tree = [(rng.randrange(v), v) for v in range(1, n)]
+    extra = [(u, v) for u, v in combinations(range(n), 2)
+             if rng.randrange(100) < density]
+    return Graph(n, tree + extra)

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import searchorder
-from searchorder import cli, emit_graph6
+from searchorder import (Graph, SearchKind, TieBreak, cli, emit_graph6,
+                         is_generic_order, run_search)
 from searchorder.inventory import load_packaged_inventory
 from searchorder.cli import (
     EXIT_DISCONNECTED,
@@ -19,6 +21,7 @@ from searchorder.cli import (
     build_parser,
     main,
 )
+from oracles import reference_point_condition
 from smallgraphs import complete, cycle, pan, path, paw, star
 
 
@@ -69,6 +72,16 @@ class TestClassify:
         code, _, err = run_cli(capsys, ["classify", f])
         assert code == EXIT_PARSE
 
+    @pytest.mark.parametrize("text, fmt, place", [
+        ("D?\x07", "graph6", "byte offset 2"),
+        ("n 3\n0 1\n1 7\n", "edgelist", "line 3"),
+    ], ids=["graph6", "edgelist"])
+    def test_parse_error_names_its_place(self, tmp_path, capsys, text, fmt, place):
+        f = write(tmp_path, "g", text)
+        code, _, err = run_cli(capsys, ["classify", f, "--format", fmt])
+        assert code == EXIT_PARSE
+        assert place in err
+
 
 class TestValidate:
     def test_valid_ordering(self, tmp_path, capsys):
@@ -86,6 +99,24 @@ class TestValidate:
         payload = json.loads(out)
         assert payload["valid"] is False
         assert {"a", "b", "c", "kind", "reason"} <= set(payload["violation"])
+
+    def test_violation_past_exhaustive_sizes_matches_reference(self, tmp_path, capsys):
+        """A seeded generic ordering of a 40-vertex graph that is not BFS:
+        the reported violation is the triple scan's first one."""
+        rng = random.Random(40)
+        g = Graph(40, [(rng.randrange(v), v) for v in range(1, 40)]
+                  + [(u, v) for u in range(40) for v in range(u + 1, 40)
+                     if rng.random() < 0.1])
+        order = run_search(g, SearchKind.GENERIC, TieBreak.seeded(7))
+        assert is_generic_order(g, order)[0]
+        ok, expected = reference_point_condition(g, order, SearchKind.BFS)
+        assert not ok
+        f = write(tmp_path, "g.g6", emit_graph6(g))
+        code, out, _ = run_cli(capsys, [
+            "validate", f, "--kind", "bfs", "--json",
+            "--ordering", ",".join(map(str, order))])
+        assert code == EXIT_NEGATIVE
+        assert json.loads(out)["violation"] == expected.to_dict()
 
     def test_label_mapping_file(self, tmp_path, capsys):
         f = write(tmp_path, "g.g6", emit_graph6(paw()))

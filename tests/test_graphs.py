@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from searchorder import (
     DisconnectedGraphError,
@@ -13,8 +14,10 @@ from searchorder import (
     parse_edge_list,
     parse_graph6,
 )
-from searchorder.graphs import bits, component_mask, require_connected
+from searchorder.graphs import (EDGE_LIST_MAX_VERTICES, bits, component_mask,
+                                require_connected)
 from smallgraphs import complete, cycle, path
+from strategies import random_graphs
 
 
 class TestGraph:
@@ -153,6 +156,21 @@ class TestEdgeList:
         with pytest.raises(EdgeListParseError):
             parse_edge_list("n 2\n0 5")
 
+    def test_vertex_beyond_declared_count_names_its_line(self):
+        with pytest.raises(EdgeListParseError) as exc:
+            parse_edge_list("n 3\n0 1\n1 7\n")
+        assert exc.value.line == 3
+
+    def test_rejects_vertex_count_beyond_limit(self):
+        big = EDGE_LIST_MAX_VERTICES
+        with pytest.raises(EdgeListParseError) as exc:
+            parse_edge_list(f"0 1\n1 {big}")
+        assert exc.value.line == 2
+        with pytest.raises(EdgeListParseError) as exc:
+            parse_edge_list(f"n {big + 1}")
+        assert exc.value.line == 1
+        assert parse_edge_list(f"n {big}").n == big
+
 
 class TestConnectivity:
     def test_cycle_connected(self):
@@ -205,3 +223,74 @@ class TestInducedSubgraph:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             induced_subgraph(cycle(4), [0, 7])
+
+
+# -- parsers past the exhaustive sizes, and fuzzed ----------------------
+
+PARSER_SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
+                           database=None)
+
+
+@PARSER_SETTINGS
+@given(random_graphs(0, 62))
+def test_graph6_round_trip_past_exhaustive_sizes(g):
+    assert parse_graph6(emit_graph6(g)) == g
+
+
+@st.composite
+def damaged_graph6(draw):
+    """A valid record with one character replaced, inserted or deleted."""
+    record = emit_graph6(draw(random_graphs(0, 62)))
+    i = draw(st.integers(0, len(record)))
+    ch = draw(st.characters())
+    return draw(st.sampled_from([record[:i] + ch + record[i + 1:],
+                                 record[:i] + ch + record[i:],
+                                 record[:i] + record[i + 1:]]))
+
+
+@PARSER_SETTINGS
+@given(st.one_of(st.text(), damaged_graph6()))
+def test_graph6_fuzz(text):
+    """Every input is either a record that re-emits to itself or rejected
+    with the byte offset of the fault inside the record."""
+    record = text.strip()
+    if record.startswith(">>graph6<<"):
+        record = record[len(">>graph6<<"):]
+    try:
+        g = parse_graph6(text)
+    except Graph6ParseError as exc:
+        assert exc.offset is not None and 0 <= exc.offset <= len(record), exc
+    else:
+        assert emit_graph6(g) == record
+
+
+SMALL_OR_HUGE = st.one_of(st.integers(-3, 12), st.integers(-10**12, 10**12))
+EDGE_LIST_TOKENS = st.one_of(
+    SMALL_OR_HUGE.map(str),
+    st.sampled_from(["n", "#", "x", "1.5", "0x1", "\t"]),
+    st.text(max_size=3),
+)
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Lines of good and bad tokens, sometimes after a vertex-count line."""
+    lines = [" ".join(tokens) for tokens in
+             draw(st.lists(st.lists(EDGE_LIST_TOKENS, max_size=5), max_size=6))]
+    count = draw(st.none() | SMALL_OR_HUGE)
+    if count is not None:
+        lines.insert(0, f"n {count}")
+    return "\n".join(lines)
+
+
+@PARSER_SETTINGS
+@given(st.one_of(st.text(), edge_list_texts()))
+def test_edge_list_fuzz(text):
+    """Every input is either a graph within the vertex limit or rejected
+    with the number of the offending line."""
+    try:
+        g = parse_edge_list(text)
+    except EdgeListParseError as exc:
+        assert exc.line is not None and 1 <= exc.line <= len(text.splitlines()), exc
+    else:
+        assert g.n <= EDGE_LIST_MAX_VERTICES

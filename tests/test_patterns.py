@@ -1,7 +1,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings
 
 from searchorder import (
     C4,
@@ -30,6 +30,7 @@ from smallgraphs import (
     sixcycle_with_handle,
     star,
 )
+from strategies import random_graphs
 
 
 class TestSmallPatternDetector:
@@ -205,18 +206,6 @@ class TestStructuralAgainstDetectors:
                 assert find_induced_small(g, PAW) is not None
             else:
                 assert find_induced_small(g, PAW) is None
-
-
-@st.composite
-def random_graphs(draw):
-    """Graphs past the exhaustive sizes; the edge density is drawn too, so
-    sparse (often disconnected) and dense (often class-member) graphs both
-    occur."""
-    n = draw(st.integers(8, 13))
-    density = draw(st.integers(0, 100))
-    rng = draw(st.randoms(use_true_random=False))
-    return Graph(n, [(u, v) for u, v in combinations(range(n), 2)
-                     if rng.randrange(100) < density])
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -1,4 +1,4 @@
-from itertools import combinations, permutations
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +18,7 @@ from searchorder.graphs import bits
 from searchorder.searches import InconsistentStateError
 from oracles import ORACLES, reference_candidates
 from smallgraphs import complete, complete_bipartite, cycle, pan, path, paw, star
+from strategies import random_connected_graphs
 
 ALL_KINDS = list(SearchKind)
 
@@ -235,19 +236,6 @@ class TestAgainstSimulationOracles:
             enumerated = set(enumerate_orderings(g, kind).orderings)
             accepted = {p for p in permutations(range(g.n)) if oracle(g, p)}
             assert enumerated == accepted, (g, kind)
-
-
-@st.composite
-def random_connected_graphs(draw):
-    """A random spanning tree plus edges at a drawn density, so both sparse
-    and dense connected graphs occur."""
-    n = draw(st.integers(8, 14))
-    density = draw(st.integers(0, 100))
-    rng = draw(st.randoms(use_true_random=False))
-    tree = [(rng.randrange(v), v) for v in range(1, n)]
-    extra = [(u, v) for u, v in combinations(range(n), 2)
-             if rng.randrange(100) < density]
-    return Graph(n, tree + extra)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -1,16 +1,20 @@
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from searchorder import (
     PointViolation,
     SearchKind,
+    TieBreak,
+    VertexOrdering,
     check_point_condition,
     induced_subgraph,
     is_generic_order,
     is_search_ordering,
+    run_search,
 )
-from oracles import ORACLES
+from oracles import ORACLES, reference_point_condition
 from smallgraphs import (
     MNS_NOT_MCS_BROKEN_EXAMPLE,
     MNS_NOT_MCS_EXAMPLES,
@@ -21,6 +25,10 @@ from smallgraphs import (
     paw,
     sixcycle_with_handle,
 )
+from strategies import random_connected_graphs
+
+POINT_KINDS = [SearchKind.BFS, SearchKind.DFS, SearchKind.LEXBFS,
+               SearchKind.LEXDFS, SearchKind.MNS]
 
 
 class TestGenericOrder:
@@ -189,3 +197,32 @@ class TestAgainstSimulationOracles:
                 for narrow, wide in implications:
                     if V(g, p, narrow)[0]:
                         assert V(g, p, wide)[0], (g, p, narrow, wide)
+
+
+class TestAgainstReference:
+    """The pair scan must give the same verdict and the same first violation
+    as the triple scan it replaced."""
+
+    def test_point_condition_matches_reference(self, graphs_upto_6):
+        for g in graphs_upto_6:
+            for p in permutations(range(g.n)):
+                sigma = VertexOrdering(p)
+                for kind in POINT_KINDS:
+                    assert check_point_condition(g, sigma, kind) == \
+                        reference_point_condition(g, sigma, kind), (g, p, kind)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(random_connected_graphs(8, 48), st.randoms(use_true_random=False),
+       st.integers(0, 2**32))
+def test_point_condition_matches_reference_past_exhaustive_sizes(g, rng, seed):
+    """A random permutation and the seeded search of every kind (Generic
+    included), so rejected and accepted orderings both occur."""
+    shuffled = list(range(g.n))
+    rng.shuffle(shuffled)
+    orderings = [shuffled] + [run_search(g, kind, TieBreak.seeded(seed))
+                              for kind in SearchKind]
+    for sigma in orderings:
+        for kind in POINT_KINDS:
+            assert check_point_condition(g, sigma, kind) == \
+                reference_point_condition(g, sigma, kind), (g, sigma, kind)
