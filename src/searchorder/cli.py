@@ -5,12 +5,12 @@ Exit codes are a stable contract:
     1  invalid ordering or inequivalent pair
     2  parse error (graph, ordering, or flags)
     3  disconnected input where connectivity is required
-    4  enumeration truncated at the cap
+    4  enumeration truncated at the cap, or an unknown ``equiv`` verdict
 
 For ``equiv``, ``--cap`` bounds the complete orderings of the first kind
 reached without a counterexample.  A counterexample found within the cap
 settles the question, so that case exits 1; exit 4 means the cap was
-reached with no counterexample and the inclusion is unknown.
+reached first and the verdict is unknown (``"verdict": null``).
 """
 
 from __future__ import annotations
@@ -192,13 +192,9 @@ def cmd_classify(args) -> int:
 def cmd_validate(args) -> int:
     g = _read_graph(args)
     kind = SearchKind.from_name(args.kind)
-    try:
-        labels = _load_labels(args.labels) if args.labels else None
-        ordering = _parse_ordering(args.ordering, labels)
-        ok, witness = is_search_ordering(g, ordering, kind)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    labels = _load_labels(args.labels) if args.labels else None
+    ordering = _parse_ordering(args.ordering, labels)
+    ok, witness = is_search_ordering(g, ordering, kind)
     payload = {"kind": kind.value, "ordering": ordering, "valid": ok}
     if isinstance(witness, PointViolation):
         payload["violation"] = witness.to_dict()
@@ -243,9 +239,8 @@ def cmd_equiv(args) -> int:
     fn = orderings_subset if args.relation == "subset" else orderings_equal
     report = fn(g, kind_x, kind_y, cap=args.cap)
     _emit(report.to_dict(), args.json)
-    if report.truncated:
-        return EXIT_TRUNCATED
-    return EXIT_OK if report.verdict else EXIT_NEGATIVE
+    return {True: EXIT_OK, False: EXIT_NEGATIVE,
+            None: EXIT_TRUNCATED}[report.verdict]
 
 
 def _scan_one(item: tuple[int, str, tuple[str, ...]]) -> dict:
@@ -260,13 +255,12 @@ def _scan_one(item: tuple[int, str, tuple[str, ...]]) -> dict:
     try:
         for theorem in theorems:
             report = check_theorem(g, theorem)
-            if not report.consistent:
-                for name, value in report.items:
-                    if value != report.structural_prediction:
-                        result["inconsistencies"].append(
-                            {"theorem": theorem, "item": name,
-                             "structural": report.structural_prediction,
-                             "behavioral": value})
+            for name, value in report.items:
+                if value != report.structural_prediction:
+                    result["inconsistencies"].append(
+                        {"theorem": theorem, "item": name,
+                         "structural": report.structural_prediction,
+                         "behavioral": value})
     except DisconnectedGraphError:
         result["skipped"] = "disconnected graph"
     except SizeGuardError as exc:

@@ -1,10 +1,12 @@
 """Inclusion/equality of ordering sets between search kinds, and the
-per-graph theorem checks that compare structural prediction with
-enumerated behavior.
+per-graph theorem checks that compare structural prediction with the
+inclusion walk's verdicts: True, False, or None when the walk stopped at
+its cap and the inclusion is unknown.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
@@ -23,11 +25,11 @@ class SizeGuardError(ValueError):
     pass
 
 
-def _guard(g: Graph, max_n: int, allow_large: bool) -> None:
+def _guard(g: Graph, allow_large: bool) -> None:
     require_connected(g)
-    if g.n > max_n and not allow_large:
+    if g.n > 8 and not allow_large:
         raise SizeGuardError(
-            f"n={g.n} exceeds the size guard ({max_n}); pass allow_large=True "
+            f"n={g.n} exceeds the size guard (8); pass allow_large=True "
             "to override")
 
 
@@ -36,11 +38,14 @@ class EquivalenceReport:
     kind_x: SearchKind
     kind_y: SearchKind
     relation: str  # "subset" | "equal"
-    verdict: bool
+    verdict: Optional[bool]  # None: the walk stopped at the cap
     witness_ordering: Optional[tuple[int, ...]] = None
     witness_violation: Optional[PointViolation] = None
     witness_vertex: Optional[int] = None  # generic/MCS failures
-    truncated: bool = False
+
+    @property
+    def truncated(self) -> bool:
+        return self.verdict is None
 
     def to_dict(self) -> dict:
         return {
@@ -122,11 +127,11 @@ def _one_direction(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
                    relation: str, cap: int) -> EquivalenceReport:
     """Is every kind_x ordering a kind_y ordering?  A counterexample is the
     lexicographically first one, with the validator's violating triple or
-    vertex for it."""
+    vertex for it; the verdict is None if the walk stopped at the cap."""
     ordering, truncated = _first_outside(g, kind_x, kind_y, cap)
     if ordering is None:
-        return EquivalenceReport(kind_x, kind_y, relation, True,
-                                 truncated=truncated)
+        return EquivalenceReport(kind_x, kind_y, relation,
+                                 None if truncated else True)
     ok, witness = is_search_ordering(g, ordering, kind_y)
     if ok:
         raise InconsistentStateError(
@@ -142,30 +147,30 @@ def _one_direction(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
 
 def _both_directions(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
                      cap: int) -> EquivalenceReport:
-    """Inclusion both ways; the first direction that fails is the report."""
+    """Inclusion both ways; the first refuted direction is the report."""
     forward = _one_direction(g, kind_x, kind_y, "equal", cap)
-    if not forward.verdict:
+    if forward.verdict is False:
         return forward
     backward = _one_direction(g, kind_y, kind_x, "equal", cap)
-    if not backward.verdict:
+    if backward.verdict is False:
         return backward
-    return EquivalenceReport(kind_x, kind_y, "equal", True,
-                             truncated=forward.truncated or backward.truncated)
+    return EquivalenceReport(kind_x, kind_y, "equal",
+                             forward.verdict and backward.verdict)
 
 
 def orderings_subset(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
-                     cap: int = DEFAULT_CAP, max_n: int = 8,
+                     cap: int = DEFAULT_CAP,
                      allow_large: bool = False) -> EquivalenceReport:
     """Is every kind_x ordering of g a kind_y ordering?"""
-    _guard(g, max_n, allow_large)
+    _guard(g, allow_large)
     return _one_direction(g, kind_x, kind_y, "subset", cap)
 
 
 def orderings_equal(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
-                    cap: int = DEFAULT_CAP, max_n: int = 8,
+                    cap: int = DEFAULT_CAP,
                     allow_large: bool = False) -> EquivalenceReport:
     """Do kind_x and kind_y produce identical ordering sets on g?"""
-    _guard(g, max_n, allow_large)
+    _guard(g, allow_large)
     return _both_directions(g, kind_x, kind_y, cap)
 
 
@@ -212,18 +217,18 @@ THEOREMS = tuple(_THEOREM_ITEMS)
 class TheoremReport:
     theorem: str
     structural_prediction: bool
-    items: tuple[tuple[str, bool], ...]
+    items: tuple[tuple[str, Optional[bool]], ...]
     reports: tuple[EquivalenceReport, ...] = field(repr=False, default=())
 
     @property
     def truncated(self) -> bool:
         """Some item's walk stopped at the cap, so its verdict is unknown."""
-        return any(report.truncated for report in self.reports)
+        return any(value is None for _, value in self.items)
 
     @property
     def consistent(self) -> bool:
-        return not self.truncated and all(
-            value == self.structural_prediction for _, value in self.items)
+        return all(value == self.structural_prediction
+                   for _, value in self.items)
 
     def to_dict(self) -> dict:
         return {
@@ -243,12 +248,12 @@ def _structure(g: Graph) -> ClassLabel:
 
 
 def check_theorem(g: Graph, theorem: str, cap: int = DEFAULT_CAP,
-                  max_n: int = 8, allow_large: bool = False) -> TheoremReport:
+                  allow_large: bool = False) -> TheoremReport:
     """Compare a theorem's structural class prediction against the
-    enumerated behavior of every numbered item."""
+    inclusion walk's verdict on every numbered item."""
     if theorem not in _THEOREM_ITEMS:
         raise ValueError(f"unknown theorem {theorem!r}; one of {THEOREMS}")
-    _guard(g, max_n, allow_large)
+    _guard(g, allow_large)
     label = _structure(g)
     prediction = bool(getattr(label, _THEOREM_PREDICTION_FLAG[theorem]))
     items = []
@@ -263,9 +268,11 @@ def check_theorem(g: Graph, theorem: str, cap: int = DEFAULT_CAP,
     return TheoremReport(theorem, prediction, tuple(items), tuple(reports))
 
 
-def find_mns_not_mcs(g: Graph, cap: int = DEFAULT_CAP, max_n: int = 8,
+def find_mns_not_mcs(g: Graph,
                      allow_large: bool = False) -> Optional[VertexOrdering]:
-    """Lexicographically first ordering that is MNS-valid but MCS-invalid."""
-    _guard(g, max_n, allow_large)
-    ordering, _ = _first_outside(g, SearchKind.MNS, SearchKind.MCS, cap)
+    """Lexicographically first ordering that is MNS-valid but MCS-invalid,
+    or None if there is none: a walk capped at n! never stops short."""
+    _guard(g, allow_large)
+    ordering = _one_direction(g, SearchKind.MNS, SearchKind.MCS, "subset",
+                              math.factorial(g.n)).witness_ordering
     return VertexOrdering(ordering) if ordering is not None else None

@@ -200,9 +200,9 @@ def candidates(g: Graph, kind: SearchKind, state: SearchState) -> set[int]:
 class TieBreak:
     """Resolves ties among candidates; the search paradigms leave them free.
 
-    ``seed is None`` picks the smallest index; otherwise an RNG keyed by
-    (seed, step, candidates) picks, so equal seeds give equal choices on
-    identical states.
+    ``pick`` takes the candidates as a bitmask.  ``seed is None`` picks the
+    smallest; otherwise an RNG keyed by (seed, step, ascending candidates)
+    picks, so equal seeds give equal choices on identical states.
     """
 
     seed: Optional[int] = None
@@ -215,10 +215,10 @@ class TieBreak:
     def seeded(cls, seed: int) -> "TieBreak":
         return cls(seed)
 
-    def pick(self, options: set[int], step: int) -> int:
+    def pick(self, mask: int, step: int) -> int:
         if self.seed is None:
-            return min(options)
-        ordered = sorted(options)
+            return (mask & -mask).bit_length() - 1
+        ordered = list(bits(mask))
         return random.Random(f"{self.seed}:{step}:{ordered}").choice(ordered)
 
 
@@ -233,11 +233,10 @@ def run_search(g: Graph, kind: SearchKind, tiebreak: TieBreak = TieBreak(),
     state = SearchState(g)
     order = []
     for step in range(g.n):
-        options = candidates(g, kind, state)
         if step == 0 and start is not None:
             choice = start
         else:
-            choice = tiebreak.pick(options, step)
+            choice = tiebreak.pick(candidate_mask(g, kind, state), step)
         order.append(choice)
         state = state.extend(choice)
     return VertexOrdering(order)

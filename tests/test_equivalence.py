@@ -87,6 +87,31 @@ class TestOrderingsEqual:
     def test_c4_generic_equals_mns(self):
         assert orderings_equal(cycle(4), SearchKind.GENERIC, SearchKind.MNS).verdict
 
+    def test_unknown_forward_does_not_hide_refuted_backward(self):
+        # path 2-1-0-3: every BFS ordering is generic, but the walk stops at
+        # the cap before it can say so; the first generic ordering
+        # (0, 1, 2, 3) is not BFS, which settles equality
+        g = Graph(4, [(0, 1), (1, 2), (0, 3)])
+        report = orderings_equal(g, SearchKind.BFS, SearchKind.GENERIC, cap=1)
+        assert report.verdict is False
+        assert report.witness_ordering == (0, 1, 2, 3)
+        assert not report.truncated
+
+    def test_both_directions_unknown_is_unknown(self):
+        report = orderings_equal(complete(4), SearchKind.GENERIC,
+                                 SearchKind.BFS, cap=1)
+        assert report.verdict is None
+        assert report.truncated
+
+    def test_unknown_verdict_is_null_in_json(self):
+        report = orderings_subset(complete(4), SearchKind.GENERIC,
+                                  SearchKind.BFS, cap=1)
+        payload = report.to_dict()
+        assert payload["verdict"] is None and payload["truncated"] is True
+        assert list(payload) == ["kind_x", "kind_y", "relation", "verdict",
+                                 "witness_ordering", "witness_violation",
+                                 "witness_vertex", "truncated"]
+
     def test_report_round_trips_through_json(self):
         report = orderings_subset(paw(), SearchKind.BFS, SearchKind.LEXBFS)
         payload = json.loads(json.dumps(report.to_dict()))
@@ -137,10 +162,13 @@ class TestCheckTheorem:
     def test_cap_reached_is_truncated_not_consistent(self):
         report = check_theorem(complete(4), THEOREM_A, cap=1)
         assert report.structural_prediction
-        assert all(value for _, value in report.items)
+        assert all(value is None for _, value in report.items)
         assert report.truncated
         assert not report.consistent
-        assert report.to_dict()["truncated"] is True
+        payload = report.to_dict()
+        assert payload["truncated"] is True
+        assert all(entry["holds"] is None for entry in payload["items"])
+        assert all(r.verdict is None and r.truncated for r in report.reports)
 
     def test_counterexample_within_cap_is_conclusive(self):
         # path 2-1-0-3: its first generic ordering (0, 1, 2, 3) is DFS but
@@ -148,7 +176,7 @@ class TestCheckTheorem:
         report = check_theorem(Graph(4, [(0, 1), (1, 2), (0, 3)]), THEOREM_A,
                                cap=1)
         a2, a3 = report.reports[:2]
-        assert a2.verdict and a2.truncated
+        assert a2.verdict is None and a2.truncated
         assert not a3.verdict and not a3.truncated
         assert a3.witness_ordering == (0, 1, 2, 3)
         assert report.truncated and not report.consistent
@@ -174,6 +202,14 @@ class TestFindMnsNotMcs:
     def test_clique_and_star_have_none(self):
         assert find_mns_not_mcs(complete(4)) is None
         assert find_mns_not_mcs(star(3)) is None
+
+    def test_matches_the_subset_report(self, graphs_upto_6):
+        # among them DrW, whose witness (0, 1, 3, 4, 2) lies past a cap of 1
+        for g in graphs_upto_6:
+            hit = find_mns_not_mcs(g)
+            assert (tuple(hit) if hit is not None else None) == \
+                orderings_subset(g, SearchKind.MNS,
+                                 SearchKind.MCS).witness_ordering, g
 
     def test_witness_is_lexicographically_first(self):
         g, _ = MNS_NOT_MCS_EXAMPLES[0]

@@ -156,6 +156,32 @@ class TestRunSearch:
             b = run_search(g, kind, TieBreak.seeded(123))
             assert a == b
 
+    def test_seeded_orderings_are_pinned(self):
+        # a tie-break keyed by the ascending candidate list: changing how
+        # the candidates are passed to it must not change a seeded run
+        g = Graph(9, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 5), (4, 6),
+                      (5, 6), (5, 7), (6, 8), (7, 8), (1, 2)])
+        expected = {
+            SearchKind.GENERIC: ((3, 5, 6, 8, 4, 2, 7, 0, 1),
+                                 (4, 1, 2, 6, 8, 7, 0, 3, 5)),
+            SearchKind.BFS: ((3, 5, 0, 6, 7, 2, 1, 8, 4),
+                             (4, 1, 2, 6, 0, 5, 8, 3, 7)),
+            SearchKind.DFS: ((3, 5, 7, 8, 6, 4, 1, 0, 2),
+                             (4, 1, 0, 2, 3, 5, 6, 8, 7)),
+            SearchKind.LEXBFS: ((3, 5, 0, 6, 7, 2, 1, 8, 4),
+                                (4, 1, 2, 6, 0, 5, 8, 3, 7)),
+            SearchKind.LEXDFS: ((3, 5, 7, 8, 6, 4, 1, 2, 0),
+                                (4, 1, 2, 0, 3, 5, 6, 8, 7)),
+            SearchKind.MNS: ((3, 5, 6, 8, 4, 2, 7, 0, 1),
+                             (4, 1, 2, 6, 8, 7, 0, 3, 5)),
+            SearchKind.MCS: ((3, 5, 6, 8, 7, 0, 2, 1, 4),
+                             (4, 1, 2, 0, 6, 3, 5, 8, 7)),
+        }
+        tiebreak = TieBreak.seeded(2026)
+        for kind, (free, started) in expected.items():
+            assert tuple(run_search(g, kind, tiebreak)) == free, kind
+            assert tuple(run_search(g, kind, tiebreak, start=4)) == started, kind
+
     def test_distinct_seeds_explore_distinct_orders(self):
         outcomes = {tuple(run_search(complete(5), SearchKind.BFS,
                                      TieBreak.seeded(s)))
