@@ -5,7 +5,6 @@ classic search paradigms on small graphs.
 
 from .graphs import (
     Graph,
-    VertexOrdering,
     Graph6ParseError,
     EdgeListParseError,
     UnsupportedSizeError,

@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
-from .graphs import Graph, VertexOrdering, bits, require_connected
+from .graphs import Graph, bits, require_connected
 from .searches import (DEFAULT_CAP, InconsistentStateError, SearchKind,
-                       SearchState, candidate_mask)
+                       SearchState, candidate_mask, complete_prefix)
 # Not called here, but importable as ``equivalence.enumerate_orderings``:
 # bench/spans.py rebinds that name to span the layer in traced runs.
 from .searches import enumerate_orderings  # noqa: F401
@@ -109,10 +109,7 @@ def _first_outside(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
                 return None
             nxt = state.extend(v)
             if not allowed >> v & 1:
-                while len(nxt.visited) < n:
-                    options = candidate_mask(g, kind_x, nxt)
-                    nxt = nxt.extend((options & -options).bit_length() - 1)
-                return nxt.visited
+                return complete_prefix(g, kind_x, nxt)
             found = walk(nxt)
             if found is not None or truncated:
                 return found
@@ -269,10 +266,9 @@ def check_theorem(g: Graph, theorem: str, cap: int = DEFAULT_CAP,
 
 
 def find_mns_not_mcs(g: Graph,
-                     allow_large: bool = False) -> Optional[VertexOrdering]:
+                     allow_large: bool = False) -> Optional[tuple[int, ...]]:
     """Lexicographically first ordering that is MNS-valid but MCS-invalid,
     or None if there is none: a walk capped at n! never stops short."""
     _guard(g, allow_large)
-    ordering = _one_direction(g, SearchKind.MNS, SearchKind.MCS, "subset",
-                              math.factorial(g.n)).witness_ordering
-    return VertexOrdering(ordering) if ordering is not None else None
+    return _one_direction(g, SearchKind.MNS, SearchKind.MCS, "subset",
+                          math.factorial(g.n)).witness_ordering

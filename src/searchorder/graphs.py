@@ -8,6 +8,7 @@ search executors and the pair scans in the validators cheap.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Optional, Sequence
 
@@ -94,41 +95,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={self.edges()})"
-
-
-class VertexOrdering:
-    """A permutation of a graph's vertex set, with its inverse."""
-
-    __slots__ = ("order", "position")
-
-    def __init__(self, order: Sequence[int]):
-        order = tuple(order)
-        n = len(order)
-        position = [-1] * n
-        for rank, v in enumerate(order):
-            if not (0 <= v < n) or position[v] != -1:
-                raise ValueError(f"not a permutation of 0..{n - 1}: {order}")
-            position[v] = rank
-        self.order = order
-        self.position = tuple(position)
-
-    def __len__(self) -> int:
-        return len(self.order)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self.order)
-
-    def __getitem__(self, i: int) -> int:
-        return self.order[i]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, VertexOrdering) and self.order == other.order
-
-    def __hash__(self) -> int:
-        return hash(self.order)
-
-    def __repr__(self) -> str:
-        return f"VertexOrdering{self.order}"
 
 
 # -- graph6 ------------------------------------------------------------
@@ -284,8 +250,12 @@ def component_mask(g: Graph, start: int, within: int = -1) -> int:
     return seen
 
 
+@lru_cache(maxsize=1)
 def is_connected(g: Graph) -> bool:
-    """True iff every vertex is reachable from vertex 0 (vacuous for n <= 1)."""
+    """True iff every vertex is reachable from vertex 0 (vacuous for n <= 1).
+
+    Remembered for the last graph: callers ask many questions about one
+    graph in a row, and each of them requires it connected."""
     return g.n <= 1 or component_mask(g, 0) == (1 << g.n) - 1
 
 

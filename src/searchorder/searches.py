@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
 
-from .graphs import Graph, VertexOrdering, bits, require_connected
+from .graphs import Graph, bits, require_connected
 
 
 class SearchKind(Enum):
@@ -222,8 +222,18 @@ class TieBreak:
         return random.Random(f"{self.seed}:{step}:{ordered}").choice(ordered)
 
 
+def complete_prefix(g: Graph, kind: SearchKind, state: SearchState,
+                    tiebreak: TieBreak = TieBreak()) -> tuple[int, ...]:
+    """Extend the visited prefix to a complete ordering, resolving every
+    tie with the given tie-break."""
+    while len(state.visited) < g.n:
+        state = state.extend(tiebreak.pick(candidate_mask(g, kind, state),
+                                           len(state.visited)))
+    return state.visited
+
+
 def run_search(g: Graph, kind: SearchKind, tiebreak: TieBreak = TieBreak(),
-               start: Optional[int] = None) -> VertexOrdering:
+               start: Optional[int] = None) -> tuple[int, ...]:
     """Execute one search, resolving every tie with the given tie-break."""
     require_connected(g)
     if g.n < 1:
@@ -231,15 +241,9 @@ def run_search(g: Graph, kind: SearchKind, tiebreak: TieBreak = TieBreak(),
     if start is not None and not 0 <= start < g.n:
         raise ValueError(f"start vertex {start} out of range")
     state = SearchState(g)
-    order = []
-    for step in range(g.n):
-        if step == 0 and start is not None:
-            choice = start
-        else:
-            choice = tiebreak.pick(candidate_mask(g, kind, state), step)
-        order.append(choice)
-        state = state.extend(choice)
-    return VertexOrdering(order)
+    if start is not None:
+        state = state.extend(start)
+    return complete_prefix(g, kind, state, tiebreak)
 
 
 # -- exhaustive enumeration --------------------------------------------
@@ -261,8 +265,8 @@ def enumerate_orderings(g: Graph, kind: SearchKind,
                         cap: int = DEFAULT_CAP) -> EnumerationResult:
     """All orderings the paradigm can produce, by branching on every tie.
 
-    Starts are tried in ascending order and every tie's candidates in
-    ascending order, so the orderings come out lexicographically sorted.
+    Every tie's candidates, the start included, are tried in ascending
+    order, so the orderings come out lexicographically sorted.
     Intended for small graphs (n <= 8 or so); hitting ``cap`` is reported
     via the truncation flag, never silently.
     """
@@ -288,8 +292,5 @@ def enumerate_orderings(g: Graph, kind: SearchKind,
                 return False
         return True
 
-    root = SearchState(g)
-    for start in range(n):
-        if not recurse(root.extend(start)):
-            break
+    recurse(SearchState(g))
     return EnumerationResult(tuple(found), truncated)

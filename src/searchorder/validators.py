@@ -8,6 +8,10 @@ executor in this package is tested against, so they read the conditions
 directly off adjacency bitmasks: the point conditions are a scan over
 position pairs (a, b) whose candidates for c, and the c that violate the
 clause, are found with mask operations instead of a loop over every c.
+
+An ordering is a tuple of vertex indices.  Each public function checks
+once, on entry, that the ordering it is given is a permutation of the
+graph's vertices, and hands the checked tuple to private deciders.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from .graphs import Graph, VertexOrdering, bits, require_connected
+from .graphs import Graph, bits, require_connected
 from .searches import SearchKind
 
 
@@ -38,12 +42,15 @@ class PointViolation:
 Witness = Union[PointViolation, int, None]
 
 
-def _as_ordering(g: Graph, sigma: Union[VertexOrdering, Sequence[int]]) -> VertexOrdering:
-    if not isinstance(sigma, VertexOrdering):
-        sigma = VertexOrdering(sigma)
-    if len(sigma) != g.n:
-        raise ValueError(f"ordering length {len(sigma)} != vertex count {g.n}")
-    return sigma
+def _as_ordering(g: Graph, sigma: Sequence[int]) -> tuple[int, ...]:
+    """sigma as a tuple, or ValueError unless it is a permutation of g's
+    vertices."""
+    order = tuple(sigma)
+    if len(order) != g.n:
+        raise ValueError(f"ordering length {len(order)} != vertex count {g.n}")
+    if sorted(order) != list(range(g.n)):
+        raise ValueError(f"not a permutation of 0..{g.n - 1}: {order}")
+    return order
 
 
 def is_generic_order(g: Graph, sigma) -> tuple[bool, Optional[int]]:
@@ -51,9 +58,12 @@ def is_generic_order(g: Graph, sigma) -> tuple[bool, Optional[int]]:
 
     Returns (verdict, first offending vertex or None).
     """
-    sigma = _as_ordering(g, sigma)
+    return _generic(g, _as_ordering(g, sigma))
+
+
+def _generic(g: Graph, order: tuple[int, ...]) -> tuple[bool, Optional[int]]:
     seen = 0
-    for i, v in enumerate(sigma):
+    for i, v in enumerate(order):
         if i > 0 and not g.adj[v] & seen:
             return False, v
         seen |= 1 << v
@@ -82,6 +92,11 @@ def check_point_condition(g: Graph, sigma,
     """Scan the position pairs i < j for a violation of the kind's
     three-point condition.  The first violation in (pos a, pos b, pos c)
     order is reported."""
+    return _point(g, _as_ordering(g, sigma), kind)
+
+
+def _point(g: Graph, order: tuple[int, ...],
+           kind: SearchKind) -> tuple[bool, Optional[PointViolation]]:
     clause = _CLAUSES.get(kind)
     if clause is None:
         raise ValueError(f"{kind} has no point condition; use is_search_ordering")
@@ -89,8 +104,6 @@ def check_point_condition(g: Graph, sigma,
     # When X is "before b" (MNS), D depends only on b, so the common
     # neighbourhood of D is cached per position of b.
     per_b = upto_b and not after_a
-    sigma = _as_ordering(g, sigma)
-    order = sigma.order
     n = g.n
     adj = g.adj
     # prefix[i] = bitmask of the first i vertices of sigma
@@ -142,11 +155,10 @@ def check_point_condition(g: Graph, sigma,
     return True, None
 
 
-def _is_mcs_order(g: Graph, sigma: VertexOrdering) -> tuple[bool, Optional[int]]:
+def _is_mcs_order(g: Graph, order: tuple[int, ...]) -> tuple[bool, Optional[int]]:
     """Simulate maximum-cardinality selection; witness is the first vertex
     chosen while another unvisited vertex had strictly more visited
     neighbors."""
-    order = sigma.order
     visited = 0
     unvisited = set(range(g.n))
     for v in order:
@@ -163,12 +175,12 @@ def is_search_ordering(g: Graph, sigma,
                        kind: SearchKind) -> tuple[bool, Witness]:
     """Decide membership of sigma in the paradigm's set of orderings."""
     require_connected(g)
-    sigma = _as_ordering(g, sigma)
-    generic_ok, offender = is_generic_order(g, sigma)
+    order = _as_ordering(g, sigma)
+    generic_ok, offender = _generic(g, order)
     if kind is SearchKind.GENERIC:
         return generic_ok, offender
     if not generic_ok:
         return False, offender
     if kind is SearchKind.MCS:
-        return _is_mcs_order(g, sigma)
-    return check_point_condition(g, sigma, kind)
+        return _is_mcs_order(g, order)
+    return _point(g, order, kind)

@@ -14,7 +14,7 @@ pattern detector.
 from itertools import combinations, permutations
 
 from searchorder import (C4, DIAMOND, P4, PAW, Graph, PatternHit, PointViolation,
-                         SearchKind, VertexOrdering)
+                         SearchKind)
 from smallgraphs import cycle, diamond, path, paw
 
 
@@ -227,7 +227,7 @@ def reference_point_condition(g: Graph, sigma, kind: SearchKind):
     order is reported."""
     if kind not in _POINT_KINDS:
         raise ValueError(f"{kind} has no point condition; use is_search_ordering")
-    order = VertexOrdering(sigma).order
+    order = tuple(sigma)
     n = g.n
     adj = g.adj
     # prefix[i] = bitmask of the first i vertices of sigma

@@ -7,7 +7,6 @@ from searchorder import (
     Graph,
     Graph6ParseError,
     UnsupportedSizeError,
-    VertexOrdering,
     emit_graph6,
     induced_subgraph,
     is_connected,
@@ -48,19 +47,6 @@ class TestGraph:
         assert path(3) == Graph(3, [(1, 2), (0, 1)])
         assert hash(path(3)) == hash(Graph(3, [(1, 2), (0, 1)]))
         assert path(3) != cycle(3)
-
-
-class TestVertexOrdering:
-    def test_positions_invert_order(self):
-        sigma = VertexOrdering((2, 0, 1))
-        assert sigma.position[2] == 0
-        assert all(sigma.position[sigma[i]] == i for i in range(3))
-
-    def test_rejects_non_permutations(self):
-        with pytest.raises(ValueError):
-            VertexOrdering((0, 0, 1))
-        with pytest.raises(ValueError):
-            VertexOrdering((0, 3))
 
 
 class TestGraph6:
@@ -182,6 +168,14 @@ class TestConnectivity:
     def test_empty_and_singleton_connected(self):
         assert is_connected(Graph(0))
         assert is_connected(Graph(1))
+
+    def test_remembered_answer_follows_the_graph(self):
+        # is_connected remembers its last graph; an equal graph built anew
+        # must get the same answer after a different graph came between
+        assert is_connected(cycle(5))
+        assert not is_connected(Graph(5, [(0, 1), (2, 3), (3, 4)]))
+        assert is_connected(cycle(5))
+        assert not is_connected(Graph(5, [(0, 1), (2, 3), (3, 4)]))
 
     def test_component_mask(self):
         g = Graph(5, [(0, 1), (2, 3), (3, 4)])

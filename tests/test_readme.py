@@ -19,6 +19,7 @@ def test_library_example_states_true_values():
     ns: dict = {}
     exec(compile(library_example(), str(README), "exec"), ns)
     paw, kind = ns["paw"], ns["SearchKind"]
+    assert ns["run_search"](paw, kind.BFS) == (0, 1, 2, 3)
     assert ns["is_search_ordering"](paw, (2, 0, 3, 1), kind.BFS) == (True, None)
     ok, violation = ns["is_search_ordering"](paw, (2, 0, 3, 1), kind.LEXBFS)
     assert not ok and isinstance(violation, PointViolation)
