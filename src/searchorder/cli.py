@@ -28,8 +28,7 @@ from .graphs import (DisconnectedGraphError, Graph, Graph6ParseError,
 from .searches import (DEFAULT_CAP, SearchKind, TieBreak, enumerate_orderings,
                        run_search)
 from .validators import PointViolation, is_search_ordering
-from .patterns import (C4, DIAMOND, P4, PAW, find_induced_pan,
-                       find_induced_small, recognize_structure)
+from .patterns import FORBIDDEN, find_forbidden, recognize_structure
 from .equivalence import (THEOREMS, SizeGuardError, check_theorem,
                           orderings_equal, orderings_subset)
 
@@ -169,22 +168,10 @@ def cmd_classify(args) -> int:
     if label.class_a is None:
         print("graph is disconnected; class flags unavailable", file=sys.stderr)
         return EXIT_DISCONNECTED
-    hits = {}
-    if not label.class_a:
-        for pattern in (P4, C4, PAW, DIAMOND):
-            hit = find_induced_small(g, pattern)
-            if hit:
-                hits["class_a_hit"] = hit.to_dict()
-                break
-    if not label.class_b:
-        hit = find_induced_pan(g) or find_induced_small(g, DIAMOND)
+    for flag in FORBIDDEN:
+        hit = None if getattr(label, flag) else find_forbidden(g, flag)
         if hit:
-            hits["class_b_hit"] = hit.to_dict()
-    if not label.class_c:
-        hit = find_induced_small(g, P4) or find_induced_small(g, C4)
-        if hit:
-            hits["class_c_hit"] = hit.to_dict()
-    payload.update(hits)
+            payload[f"{flag}_hit"] = hit.to_dict()
     _emit(payload, args.json)
     return EXIT_OK
 

@@ -142,16 +142,17 @@ def _one_direction(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
                              witness_vertex=vertex)
 
 
-def _both_directions(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
-                     cap: int) -> EquivalenceReport:
-    """Inclusion both ways; the first refuted direction is the report."""
-    forward = _one_direction(g, kind_x, kind_y, "equal", cap)
-    if forward.verdict is False:
+def _decide(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
+            relation: str, cap: int) -> EquivalenceReport:
+    """kind_x ⊆ kind_y for "subset"; for "equal", inclusion both ways,
+    and the first refuted direction is the report."""
+    forward = _one_direction(g, kind_x, kind_y, relation, cap)
+    if relation == "subset" or forward.verdict is False:
         return forward
-    backward = _one_direction(g, kind_y, kind_x, "equal", cap)
+    backward = _one_direction(g, kind_y, kind_x, relation, cap)
     if backward.verdict is False:
         return backward
-    return EquivalenceReport(kind_x, kind_y, "equal",
+    return EquivalenceReport(kind_x, kind_y, relation,
                              forward.verdict and backward.verdict)
 
 
@@ -160,7 +161,7 @@ def orderings_subset(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
                      allow_large: bool = False) -> EquivalenceReport:
     """Is every kind_x ordering of g a kind_y ordering?"""
     _guard(g, allow_large)
-    return _one_direction(g, kind_x, kind_y, "subset", cap)
+    return _decide(g, kind_x, kind_y, "subset", cap)
 
 
 def orderings_equal(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
@@ -168,7 +169,7 @@ def orderings_equal(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
                     allow_large: bool = False) -> EquivalenceReport:
     """Do kind_x and kind_y produce identical ordering sets on g?"""
     _guard(g, allow_large)
-    return _both_directions(g, kind_x, kind_y, cap)
+    return _decide(g, kind_x, kind_y, "equal", cap)
 
 
 # -- theorem checks ----------------------------------------------------
@@ -178,36 +179,31 @@ THEOREM_B = "B"
 THEOREM_C = "C"
 COROLLARY_A5A6 = "corollary"
 
-# item label -> (kind_x, kind_y, relation)
-_THEOREM_ITEMS = {
-    THEOREM_A: [
-        ("A2: generic subset-of dfs", SearchKind.GENERIC, SearchKind.DFS, "subset"),
-        ("A3: generic subset-of bfs", SearchKind.GENERIC, SearchKind.BFS, "subset"),
-        ("A4: bfs equals dfs", SearchKind.BFS, SearchKind.DFS, "equal"),
-    ],
-    THEOREM_B: [
-        ("B2: dfs subset-of lexdfs", SearchKind.DFS, SearchKind.LEXDFS, "subset"),
-        ("B3: bfs subset-of lexbfs", SearchKind.BFS, SearchKind.LEXBFS, "subset"),
-        ("B4: generic subset-of mns", SearchKind.GENERIC, SearchKind.MNS, "subset"),
-    ],
-    THEOREM_C: [
-        ("C2: mns subset-of lexdfs", SearchKind.MNS, SearchKind.LEXDFS, "subset"),
-        ("C3: mns subset-of lexbfs", SearchKind.MNS, SearchKind.LEXBFS, "subset"),
-    ],
-    COROLLARY_A5A6: [
-        ("A5: generic subset-of lexdfs", SearchKind.GENERIC, SearchKind.LEXDFS, "subset"),
-        ("A6: generic subset-of lexbfs", SearchKind.GENERIC, SearchKind.LEXBFS, "subset"),
-    ],
+# theorem -> (ClassLabel flag that predicts it, its items as
+# (label, kind_x, kind_y, relation)); an item's name, such as
+# "A4: bfs equals dfs", is spelled from its row
+_THEOREMS = {
+    THEOREM_A: ("class_a", (
+        ("A2", SearchKind.GENERIC, SearchKind.DFS, "subset"),
+        ("A3", SearchKind.GENERIC, SearchKind.BFS, "subset"),
+        ("A4", SearchKind.BFS, SearchKind.DFS, "equal"),
+    )),
+    THEOREM_B: ("class_b", (
+        ("B2", SearchKind.DFS, SearchKind.LEXDFS, "subset"),
+        ("B3", SearchKind.BFS, SearchKind.LEXBFS, "subset"),
+        ("B4", SearchKind.GENERIC, SearchKind.MNS, "subset"),
+    )),
+    THEOREM_C: ("class_c", (
+        ("C2", SearchKind.MNS, SearchKind.LEXDFS, "subset"),
+        ("C3", SearchKind.MNS, SearchKind.LEXBFS, "subset"),
+    )),
+    COROLLARY_A5A6: ("class_a", (
+        ("A5", SearchKind.GENERIC, SearchKind.LEXDFS, "subset"),
+        ("A6", SearchKind.GENERIC, SearchKind.LEXBFS, "subset"),
+    )),
 }
 
-_THEOREM_PREDICTION_FLAG = {
-    THEOREM_A: "class_a",
-    THEOREM_B: "class_b",
-    THEOREM_C: "class_c",
-    COROLLARY_A5A6: "class_a",
-}
-
-THEOREMS = tuple(_THEOREM_ITEMS)
+THEOREMS = tuple(_THEOREMS)
 
 
 @dataclass(frozen=True)
@@ -248,19 +244,17 @@ def check_theorem(g: Graph, theorem: str, cap: int = DEFAULT_CAP,
                   allow_large: bool = False) -> TheoremReport:
     """Compare a theorem's structural class prediction against the
     inclusion walk's verdict on every numbered item."""
-    if theorem not in _THEOREM_ITEMS:
+    if theorem not in _THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}; one of {THEOREMS}")
     _guard(g, allow_large)
-    label = _structure(g)
-    prediction = bool(getattr(label, _THEOREM_PREDICTION_FLAG[theorem]))
+    flag, rows = _THEOREMS[theorem]
+    prediction = bool(getattr(_structure(g), flag))
     items = []
     reports = []
-    for name, kx, ky, relation in _THEOREM_ITEMS[theorem]:
-        if relation == "subset":
-            report = _one_direction(g, kx, ky, relation, cap)
-        else:
-            report = _both_directions(g, kx, ky, cap)
-        items.append((name, report.verdict))
+    for label, kx, ky, relation in rows:
+        report = _decide(g, kx, ky, relation, cap)
+        verb = "subset-of" if relation == "subset" else "equals"
+        items.append((f"{label}: {kx.value} {verb} {ky.value}", report.verdict))
         reports.append(report)
     return TheoremReport(theorem, prediction, tuple(items), tuple(reports))
 

@@ -139,6 +139,26 @@ def find_induced_pan(g: Graph) -> Optional[PatternHit]:
     return best
 
 
+# class flag -> its forbidden induced subgraphs (Theorems A, B and C), in
+# the order find_forbidden tries them; PAN stands for every k-pan, k >= 3
+FORBIDDEN = {
+    "class_a": (P4, C4, PAW, DIAMOND),
+    "class_b": (PAN, DIAMOND),
+    "class_c": (P4, C4),
+}
+
+
+def find_forbidden(g: Graph, flag: str) -> Optional[PatternHit]:
+    """The first of ``FORBIDDEN[flag]``, in that order, that g contains
+    as an induced subgraph, or None if it contains none of them."""
+    for pattern in FORBIDDEN[flag]:
+        hit = (find_induced_pan(g) if pattern == PAN
+               else find_induced_small(g, pattern))
+        if hit:
+            return hit
+    return None
+
+
 # -- structural recognizers --------------------------------------------
 
 @dataclass(frozen=True)

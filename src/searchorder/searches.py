@@ -208,10 +208,6 @@ class TieBreak:
     seed: Optional[int] = None
 
     @classmethod
-    def min_index(cls) -> "TieBreak":
-        return cls()
-
-    @classmethod
     def seeded(cls, seed: int) -> "TieBreak":
         return cls(seed)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 import os
@@ -117,6 +118,21 @@ class TestValidate:
             "--ordering", ",".join(map(str, order))])
         assert code == EXIT_NEGATIVE
         assert json.loads(out)["violation"] == expected.to_dict()
+
+    @pytest.mark.parametrize("kind, ordering", [
+        ("generic", "0,3,2,1"),  # 3 has no visited neighbour after 0
+        ("mcs", "0,2,3,1"),      # after 0, 2: 1 has two visited neighbours, 3 one
+    ])
+    def test_vertex_failure_prints_violating_vertex(self, tmp_path, capsys,
+                                                    kind, ordering):
+        f = write(tmp_path, "g.g6", emit_graph6(paw()))
+        code, out, _ = run_cli(capsys, [
+            "validate", f, "--kind", kind, "--ordering", ordering, "--json"])
+        assert code == EXIT_NEGATIVE
+        payload = json.loads(out)
+        assert payload["valid"] is False
+        assert payload["violating_vertex"] == 3
+        assert "violation" not in payload
 
     def test_label_mapping_file(self, tmp_path, capsys):
         f = write(tmp_path, "g.g6", emit_graph6(paw()))
@@ -274,6 +290,39 @@ class TestScan:
         assert code == EXIT_OK
         assert "1 graphs processed" in err
         assert "2 lines skipped" in err
+
+    def test_size_guard_skips_large_graphs(self, tmp_path, capsys):
+        f = write(tmp_path, "batch.g6", emit_graph6(complete(9)) + "\n")
+        code, out, err = run_cli(capsys, ["scan", f])
+        assert code == EXIT_OK
+        assert out == ""
+        assert "0 graphs processed, 0 inconsistencies, 1 lines skipped" in err
+        assert ("  skipped line 1: n=9 exceeds the size guard (8); "
+                "pass allow_large=True to override\n") in err
+
+    def test_inconsistency_printed_as_json_and_exits_1(self, tmp_path, capsys,
+                                                       monkeypatch):
+        """With theorem A's last verdict flipped on the paw, scan prints
+        one line naming the graph, the theorem, the item, the structural
+        prediction and the flipped verdict."""
+        real = cli.check_theorem
+
+        def flipped(g, theorem):
+            report = real(g, theorem)
+            if theorem == "A":
+                name, value = report.items[-1]
+                report = dataclasses.replace(
+                    report, items=report.items[:-1] + ((name, not value),))
+            return report
+
+        monkeypatch.setattr(cli, "check_theorem", flipped)
+        f = write(tmp_path, "batch.g6", emit_graph6(paw()) + "\n")
+        code, out, err = run_cli(capsys, ["scan", f])
+        assert code == EXIT_NEGATIVE
+        assert out == ('{"graph6": "Cx", "theorem": "A", '
+                       '"item": "A4: bfs equals dfs", '
+                       '"structural": false, "behavioral": true}\n')
+        assert "1 graphs processed, 1 inconsistencies" in err
 
     def test_runs_as_module_without_install(self):
         lines = [line for line in load_packaged_inventory()

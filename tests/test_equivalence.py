@@ -9,6 +9,7 @@ from searchorder import (
     Graph,
     SearchKind,
     SizeGuardError,
+    THEOREMS,
     THEOREM_A,
     THEOREM_B,
     THEOREM_C,
@@ -20,8 +21,9 @@ from searchorder import (
     orderings_subset,
 )
 from searchorder import equivalence
-from searchorder.equivalence import (_THEOREM_ITEMS, _first_outside,
+from searchorder.equivalence import (_THEOREMS, _first_outside,
                                      _one_direction)
+from searchorder.searches import InconsistentStateError
 from searchorder.validators import PointViolation
 from smallgraphs import (
     MNS_NOT_MCS_BROKEN_EXAMPLE,
@@ -69,6 +71,11 @@ class TestOrderingsSubset:
             orderings_subset(cycle(9), SearchKind.BFS, SearchKind.DFS)
         assert orderings_subset(cycle(9), SearchKind.BFS, SearchKind.LEXBFS,
                                 allow_large=True).verdict
+
+    def test_cap_must_be_positive(self):
+        with pytest.raises(ValueError, match="cap must be positive"):
+            orderings_subset(path(3), SearchKind.GENERIC, SearchKind.BFS,
+                             cap=0)
 
     def test_rejects_disconnected(self):
         with pytest.raises(DisconnectedGraphError):
@@ -147,6 +154,20 @@ class TestCheckTheorem:
     def test_corollary_on_clique(self):
         report = check_theorem(complete(4), COROLLARY_A5A6)
         assert report.structural_prediction and report.consistent
+
+    def test_item_names(self):
+        names = {theorem: [name for name, _ in
+                           check_theorem(complete(3), theorem).items]
+                 for theorem in THEOREMS}
+        assert names == {
+            "A": ["A2: generic subset-of dfs", "A3: generic subset-of bfs",
+                  "A4: bfs equals dfs"],
+            "B": ["B2: dfs subset-of lexdfs", "B3: bfs subset-of lexbfs",
+                  "B4: generic subset-of mns"],
+            "C": ["C2: mns subset-of lexdfs", "C3: mns subset-of lexbfs"],
+            "corollary": ["A5: generic subset-of lexdfs",
+                          "A6: generic subset-of lexbfs"],
+        }
 
     def test_unknown_theorem_rejected(self):
         with pytest.raises(ValueError):
@@ -237,8 +258,8 @@ def _enumerate_then_validate(g, kind_x, kind_y, relation):
 
 def test_walk_matches_enumerate_then_validate(graphs_upto_6):
     pairs = [(kx, ky, relation)
-             for items in _THEOREM_ITEMS.values()
-             for _, kx, ky, relation in items]
+             for _, rows in _THEOREMS.values()
+             for _, kx, ky, relation in rows]
     pairs += [(ky, kx, relation) for kx, ky, relation in pairs
               if relation == "equal"]
     pairs.append((SearchKind.MNS, SearchKind.MCS, "subset"))
@@ -289,3 +310,14 @@ def test_clique_walks_each_search_state_once(monkeypatch):
     for theorem in (THEOREM_A, THEOREM_B, THEOREM_C, COROLLARY_A5A6):
         assert check_theorem(complete(7), theorem).consistent
     assert 0 < calls <= 5_000
+
+
+def test_validator_accepting_a_rejected_ordering_raises(monkeypatch):
+    """Every refutation is confirmed by the validator: an ordering the
+    candidate rule rejects but the validator accepts is a bug, never a
+    verdict."""
+    monkeypatch.setattr(equivalence, "is_search_ordering",
+                        lambda g, ordering, kind: (True, None))
+    with pytest.raises(InconsistentStateError, match="validator accepts"):
+        _one_direction(paw(), SearchKind.BFS, SearchKind.LEXBFS, "subset",
+                       cap=100)

@@ -17,7 +17,8 @@ from searchorder import (
     paw_free_decomposition,
     recognize_structure,
 )
-from searchorder.patterns import (is_complete_bipartite,
+from searchorder.patterns import (FORBIDDEN, find_forbidden,
+                                  is_complete_bipartite,
                                   is_complete_multipartite, is_forest)
 from oracles import SMALL_PATTERNS, first_induced_small
 from smallgraphs import (
@@ -206,6 +207,24 @@ class TestStructuralAgainstDetectors:
                 assert find_induced_small(g, PAW) is not None
             else:
                 assert find_induced_small(g, PAW) is None
+
+
+class TestFindForbidden:
+    def test_none_exactly_on_class_members(self, graphs_upto_6):
+        for g in graphs_upto_6:
+            label = recognize_structure(g)
+            for flag in FORBIDDEN:
+                assert (find_forbidden(g, flag) is None) \
+                    == getattr(label, flag), (g, flag)
+
+    def test_first_pattern_in_table_order_wins(self):
+        # a diamond 0-1-2-3 (chord 0-2) with pendant 4 on 1 holds a P4
+        # (4-1-2-3), a paw, which is the 3-pan, and a diamond
+        g = Graph(5, [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (1, 4)])
+        assert find_forbidden(g, "class_a").pattern == P4
+        assert find_forbidden(g, "class_b").pattern == PAN
+        assert find_forbidden(g, "class_c").pattern == P4
+        assert find_forbidden(cycle(4), "class_c").pattern == C4
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)

@@ -129,12 +129,17 @@ def test_candidates_match_reference_rules(graphs_upto_6):
 
 class TestRunSearch:
     def test_forced_chain(self):
-        got = run_search(path(3), SearchKind.DFS, TieBreak.min_index(), start=0)
+        got = run_search(path(3), SearchKind.DFS, TieBreak(), start=0)
         assert got == (0, 1, 2)
 
     def test_singleton(self):
         for kind in ALL_KINDS:
             assert run_search(Graph(1), kind) == (0,)
+
+    def test_empty_graph_rejected(self):
+        for kind in ALL_KINDS:
+            with pytest.raises(ValueError, match="at least one vertex"):
+                run_search(Graph(0), kind)
 
     def test_respects_start(self):
         got = run_search(cycle(5), SearchKind.BFS, start=3)
@@ -227,6 +232,10 @@ class TestEnumerate:
                 result = enumerate_orderings(g, kind)
                 assert result.orderings == tuple(sorted(result.orderings)), \
                     (g, kind)
+
+    def test_empty_graph_has_no_orderings(self):
+        for kind in ALL_KINDS:
+            assert enumerate_orderings(Graph(0), kind) == ((), False)
 
     def test_membership(self):
         result = enumerate_orderings(path(3), SearchKind.BFS)
