@@ -19,7 +19,6 @@ from .searches import (
     SearchKind,
     SearchState,
     TieBreak,
-    candidates,
     run_search,
     enumerate_orderings,
     EnumerationResult,

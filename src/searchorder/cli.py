@@ -5,7 +5,8 @@ Exit codes are a stable contract:
     1  invalid ordering or inequivalent pair
     2  parse error (graph, ordering, or flags)
     3  disconnected input where connectivity is required
-    4  enumeration truncated at the cap, or an unknown ``equiv`` verdict
+    4  more orderings than the cap, so the enumeration is truncated, or
+       an unknown ``equiv`` verdict
 
 For ``equiv``, ``--cap`` bounds the complete orderings of the first kind
 reached without a counterexample.  A counterexample found within the cap

@@ -102,14 +102,14 @@ def _first_outside(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
                 complete += clean[key]
             return None
         before = complete
-        allowed = candidate_mask(g, kind_y, state)
-        for v in bits(candidate_mask(g, kind_x, state)):
+        allowed = candidate_mask(kind_y, state)
+        for v in bits(candidate_mask(kind_x, state)):
             if complete >= cap:
                 truncated = True
                 return None
             nxt = state.extend(v)
             if not allowed >> v & 1:
-                return complete_prefix(g, kind_x, nxt)
+                return complete_prefix(kind_x, nxt)
             found = walk(nxt)
             if found is not None or truncated:
                 return found

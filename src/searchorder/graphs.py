@@ -212,13 +212,18 @@ def parse_edge_list(text: str) -> Graph:
         if len(tokens) % 2:
             raise EdgeListParseError("odd number of vertex tokens", line=lineno)
         for i in range(0, len(tokens), 2):
-            try:
-                u, v = int(tokens[i]), int(tokens[i + 1])
-            except ValueError:
-                raise EdgeListParseError(
-                    f"non-integer vertex token on line", line=lineno) from None
-            if u < 0 or v < 0:
-                raise EdgeListParseError(f"negative vertex index", line=lineno)
+            pair = []
+            for token in tokens[i:i + 2]:
+                try:
+                    vertex = int(token)
+                except ValueError:
+                    raise EdgeListParseError(
+                        f"non-integer vertex token {token!r}", line=lineno) from None
+                if vertex < 0:
+                    raise EdgeListParseError(
+                        f"negative vertex index {token!r}", line=lineno)
+                pair.append(vertex)
+            u, v = pair
             if u == v:
                 raise EdgeListParseError(f"loop edge ({u} {u}) rejected", line=lineno)
             top = max(u, v)

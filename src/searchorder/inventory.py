@@ -108,13 +108,6 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
     return tuple(seen[key] for key in sorted(seen))
 
 
-def connected_graphs_upto(n: int) -> list[Graph]:
-    out: list[Graph] = []
-    for k in range(1, n + 1):
-        out.extend(connected_graphs(k))
-    return out
-
-
 def load_packaged_inventory() -> list[str]:
     """The frozen graph6 inventory of all connected graphs on 1..7 vertices."""
     text = (resources.files("searchorder.data") / INVENTORY_RESOURCE).read_text()

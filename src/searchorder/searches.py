@@ -10,7 +10,6 @@ validators and against a reference that compares labels.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple, Optional
@@ -174,12 +173,10 @@ _RULES = {
 }
 
 
-def candidate_mask(g: Graph, kind: SearchKind, state: SearchState) -> int:
-    """The exact set of vertices the paradigm permits as the next choice,
-    as a bitmask; 0 once every vertex is visited."""
-    if state.graph is not g:
-        if state.graph != g:
-            raise InconsistentStateError("state belongs to a different graph")
+def candidate_mask(kind: SearchKind, state: SearchState) -> int:
+    """The exact set of vertices the paradigm permits as the next choice
+    from ``state``, as a bitmask; 0 once every vertex is visited."""
+    g = state.graph
     if not state.visited_mask:
         return (1 << g.n) - 1
     rule = _RULES.get(kind)
@@ -187,11 +184,6 @@ def candidate_mask(g: Graph, kind: SearchKind, state: SearchState) -> int:
         raise ValueError(f"unhandled search kind {kind}")
     mask = state.visited_mask
     return rule(g.adj, state.visited, mask, state.reached_mask & ~mask)
-
-
-def candidates(g: Graph, kind: SearchKind, state: SearchState) -> set[int]:
-    """The exact set of vertices the paradigm permits as the next choice."""
-    return set(bits(candidate_mask(g, kind, state)))
 
 
 # -- tie breaking ------------------------------------------------------
@@ -218,12 +210,13 @@ class TieBreak:
         return random.Random(f"{self.seed}:{step}:{ordered}").choice(ordered)
 
 
-def complete_prefix(g: Graph, kind: SearchKind, state: SearchState,
+def complete_prefix(kind: SearchKind, state: SearchState,
                     tiebreak: TieBreak = TieBreak()) -> tuple[int, ...]:
     """Extend the visited prefix to a complete ordering, resolving every
     tie with the given tie-break."""
-    while len(state.visited) < g.n:
-        state = state.extend(tiebreak.pick(candidate_mask(g, kind, state),
+    n = state.graph.n
+    while len(state.visited) < n:
+        state = state.extend(tiebreak.pick(candidate_mask(kind, state),
                                            len(state.visited)))
     return state.visited
 
@@ -239,7 +232,7 @@ def run_search(g: Graph, kind: SearchKind, tiebreak: TieBreak = TieBreak(),
     state = SearchState(g)
     if start is not None:
         state = state.extend(start)
-    return complete_prefix(g, kind, state, tiebreak)
+    return complete_prefix(kind, state, tiebreak)
 
 
 # -- exhaustive enumeration --------------------------------------------
@@ -249,12 +242,7 @@ DEFAULT_CAP = 10_000_000
 
 class EnumerationResult(NamedTuple):
     orderings: tuple[tuple[int, ...], ...]  # sorted lexicographically
-    truncated: bool
-
-    def __contains__(self, item) -> bool:
-        item = tuple(item)
-        i = bisect_left(self.orderings, item)
-        return i < len(self.orderings) and self.orderings[i] == item
+    truncated: bool  # more than ``cap`` orderings exist
 
 
 def enumerate_orderings(g: Graph, kind: SearchKind,
@@ -263,8 +251,9 @@ def enumerate_orderings(g: Graph, kind: SearchKind,
 
     Every tie's candidates, the start included, are tried in ascending
     order, so the orderings come out lexicographically sorted.
-    Intended for small graphs (n <= 8 or so); hitting ``cap`` is reported
-    via the truncation flag, never silently.
+    Intended for small graphs (n <= 8 or so).  If there are more than
+    ``cap`` orderings, the first ``cap`` are returned and the truncation
+    flag says so, never silently.
     """
     require_connected(g)
     if cap <= 0:
@@ -278,12 +267,12 @@ def enumerate_orderings(g: Graph, kind: SearchKind,
     def recurse(state: SearchState) -> bool:
         nonlocal truncated
         if len(state.visited) == n:
-            found.append(state.visited)
-            if len(found) >= cap:
+            if len(found) == cap:
                 truncated = True
                 return False
+            found.append(state.visited)
             return True
-        for v in bits(candidate_mask(g, kind, state)):
+        for v in bits(candidate_mask(kind, state)):
             if not recurse(state.extend(v)):
                 return False
         return True

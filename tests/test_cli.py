@@ -209,6 +209,13 @@ class TestEnumerate:
         assert code == EXIT_TRUNCATED
         assert "TRUNCATED" in out
 
+    def test_cap_equal_to_the_count_is_complete(self, tmp_path, capsys):
+        f = write(tmp_path, "g.g6", emit_graph6(path(2)))
+        code, out, _ = run_cli(capsys, [
+            "enumerate", f, "--kind", "generic", "--cap", "2"])
+        assert code == EXIT_OK
+        assert out.strip().splitlines() == ["0 1", "1 0", "count: 2"]
+
     def test_json_round_trip(self, tmp_path, capsys):
         f = write(tmp_path, "g.el", "0 1\n1 2")
         code, out, _ = run_cli(capsys, ["enumerate", f, "--kind", "bfs", "--json"])

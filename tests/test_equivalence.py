@@ -273,11 +273,16 @@ def test_walk_matches_enumerate_then_validate(graphs_upto_6):
 def test_walk_stops_at_every_cap_as_the_enumeration_does(graphs_upto_5):
     """With o_j the first kind_x ordering that kind_y rejects, a walk capped
     at c finds o_j iff the j - 1 orderings before it fit under c; without
-    such an ordering it is truncated iff the m orderings exceed c."""
+    such an ordering it is truncated iff the m orderings exceed c.  The
+    enumeration capped at c keeps the first c orderings, and it too is
+    truncated iff m exceeds c."""
     for g in graphs_upto_5:
         for kx in SearchKind:
             orderings = enumerate_orderings(g, kx).orderings
             m = len(orderings)
+            for cap in range(1, m + 2):
+                assert enumerate_orderings(g, kx, cap) == \
+                    (orderings[:cap], m > cap), (g, kx, cap)
             for ky in SearchKind:
                 j, first = next(
                     ((j, o) for j, o in enumerate(orderings, 1)

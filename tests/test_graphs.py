@@ -138,6 +138,15 @@ class TestEdgeList:
         with pytest.raises(EdgeListParseError):
             parse_edge_list("0 -1")
 
+    def test_errors_name_the_bad_token_and_line(self):
+        for line, message in (
+                ("1 x", "non-integer vertex token 'x' (line 3)"),
+                ("1 -2", "negative vertex index '-2' (line 3)")):
+            with pytest.raises(EdgeListParseError) as exc:
+                parse_edge_list(f"0 1\n# comment\n{line}\n")
+            assert str(exc.value) == message
+            assert exc.value.line == 3
+
     def test_rejects_vertex_beyond_declared_count(self):
         with pytest.raises(EdgeListParseError):
             parse_edge_list("n 2\n0 5")
