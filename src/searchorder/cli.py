@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import time
+from contextlib import ExitStack
 from multiprocessing import Pool
 from typing import Optional
 
@@ -38,6 +39,8 @@ EXIT_NEGATIVE = 1
 EXIT_PARSE = 2
 EXIT_DISCONNECTED = 3
 EXIT_TRUNCATED = 4
+
+_SCAN_CHUNKSIZE = 256  # scan --jobs: lines per pool task
 
 
 def _read_graph(args) -> Graph:
@@ -231,60 +234,56 @@ def cmd_equiv(args) -> int:
             None: EXIT_TRUNCATED}[report.verdict]
 
 
-def _scan_one(item: tuple[int, str, tuple[str, ...]]) -> dict:
+def _scan_one(item: tuple[int, str, tuple[str, ...]]
+              ) -> tuple[int, Optional[str], list[tuple]]:
     lineno, line, theorems = item
-    result = {"lineno": lineno, "graph6": line.strip(), "skipped": None,
-              "inconsistencies": []}
     try:
         g = parse_graph6(line)
     except Graph6ParseError as exc:
-        result["skipped"] = f"parse error: {exc}"
-        return result
+        return lineno, f"parse error: {exc}", []
+    found = []
     try:
         for theorem in theorems:
             report = check_theorem(g, theorem)
-            for name, value in report.items:
-                if value != report.structural_prediction:
-                    result["inconsistencies"].append(
-                        {"theorem": theorem, "item": name,
-                         "structural": report.structural_prediction,
-                         "behavioral": value})
+            found += [(line.strip(), theorem, name,
+                       report.structural_prediction, value)
+                      for name, value in report.items
+                      if value != report.structural_prediction]
     except DisconnectedGraphError:
-        result["skipped"] = "disconnected graph"
+        return lineno, "disconnected graph", []
     except SizeGuardError as exc:
-        result["skipped"] = str(exc)
-    return result
+        return lineno, str(exc), []
+    return lineno, None, found
 
 
 def cmd_scan(args) -> int:
-    if args.input == "-":
-        lines = sys.stdin.read().splitlines()
-    else:
-        with open(args.input) as fh:
-            lines = fh.read().splitlines()
-    theorems = THEOREMS if args.theorem == "all" else (args.theorem,)
-    work = [(i, line, theorems) for i, line in enumerate(lines, start=1)
-            if line.strip()]
     started = time.monotonic()
-    if args.jobs > 1:
-        with Pool(args.jobs) as pool:
-            results = pool.map(_scan_one, work)
-    else:
-        results = [_scan_one(item) for item in work]
-    elapsed_ms = int((time.monotonic() - started) * 1000)
+    theorems = THEOREMS if args.theorem == "all" else (args.theorem,)
     processed = 0
     skipped = []
     inconsistencies = []
-    for result in results:
-        if result["skipped"]:
-            skipped.append((result["lineno"], result["skipped"]))
-            continue
-        processed += 1
-        for inc in result["inconsistencies"]:
-            inconsistencies.append((result["graph6"], inc))
-    for graph6, inc in sorted(inconsistencies,
-                              key=lambda x: (x[0], x[1]["theorem"], x[1]["item"])):
-        print(json.dumps({"graph6": graph6, **inc}))
+    with ExitStack() as stack:
+        fh = (sys.stdin if args.input == "-"
+              else stack.enter_context(open(args.input)))
+        # Numbered as text.splitlines() numbers them, \r, \x0c, \x85 too.
+        lines = (line for raw in fh for line in raw.splitlines())
+        work = ((i, line, theorems) for i, line in enumerate(lines, start=1)
+                if line.strip())
+        if args.jobs > 1:
+            pool = stack.enter_context(Pool(args.jobs))
+            results = pool.imap(_scan_one, work, chunksize=_SCAN_CHUNKSIZE)
+        else:
+            results = map(_scan_one, work)
+        for lineno, reason, found in results:
+            if reason:
+                skipped.append((lineno, reason))
+            else:
+                processed += 1
+                inconsistencies += found
+    elapsed_ms = int((time.monotonic() - started) * 1000)
+    for graph6, theorem, item, structural, behavioral in sorted(inconsistencies):
+        print(json.dumps({"graph6": graph6, "theorem": theorem, "item": item,
+                          "structural": structural, "behavioral": behavioral}))
     print(f"scan: {processed} graphs processed, "
           f"{len(inconsistencies)} inconsistencies, "
           f"{len(skipped)} lines skipped, {elapsed_ms} ms", file=sys.stderr)

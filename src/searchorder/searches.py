@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .graphs import Graph, bits, require_connected
 
@@ -42,9 +42,8 @@ class InconsistentStateError(RuntimeError):
 class SearchState:
     """Visited prefix of a search, with kind-independent bookkeeping.
 
-    Labels are derived from the visited sequence on demand; besides the
-    prefix, only its vertex mask and the union of its neighbourhoods are
-    stored, so states stay cheap to copy and compare.
+    Besides the prefix, only its vertex mask and the union of its
+    neighbourhoods are stored, so states stay cheap to copy and compare.
     """
 
     __slots__ = ("graph", "visited", "visited_mask", "reached_mask")
@@ -240,7 +239,8 @@ def run_search(g: Graph, kind: SearchKind, tiebreak: TieBreak = TieBreak(),
 DEFAULT_CAP = 10_000_000
 
 
-class EnumerationResult(NamedTuple):
+@dataclass(frozen=True)  # not a tuple: ask ``o in result.orderings``
+class EnumerationResult:
     orderings: tuple[tuple[int, ...], ...]  # sorted lexicographically
     truncated: bool  # more than ``cap`` orderings exist
 

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -348,14 +349,27 @@ class TestScan:
             in done.stderr
 
     def test_jobs_agree_with_serial(self, tmp_path, capsys):
-        lines = [emit_graph6(g) for g in
-                 [cycle(5), paw(), star(4), complete(3), pan(4)]]
+        """Skipped lines are reported in input order, pool or not."""
+        disconnected = emit_graph6(Graph(2))
+        lines = [emit_graph6(cycle(5)), "not-a-graph6-line!!", emit_graph6(paw()),
+                 disconnected, emit_graph6(star(4)), emit_graph6(complete(9)),
+                 emit_graph6(complete(3)), emit_graph6(pan(4))]
         f = write(tmp_path, "batch.g6", "\n".join(lines) + "\n")
-        code1, out1, _ = run_cli(capsys, ["scan", f, "--theorem", "A"])
-        code2, out2, _ = run_cli(capsys, ["scan", f, "--theorem", "A",
-                                          "--jobs", "2"])
-        assert code1 == code2 == EXIT_OK
-        assert out1 == out2
+        runs = []
+        for jobs in ("1", "2"):
+            code, out, err = run_cli(capsys, ["scan", f, "--theorem", "A",
+                                              "--jobs", jobs])
+            runs.append((code, out, re.sub(r"\d+ ms$", "N ms", err, flags=re.M)))
+        assert runs[0] == runs[1]
+        code, out, err = runs[0]
+        assert (code, out) == (EXIT_OK, "")
+        assert err.splitlines() == [
+            "scan: 5 graphs processed, 0 inconsistencies, 3 lines skipped, N ms",
+            "  skipped line 2: parse error: non-printable graph6 byte 45 "
+            "(byte offset 3)",
+            "  skipped line 4: disconnected graph",
+            "  skipped line 6: n=9 exceeds the size guard (8); "
+            "pass allow_large=True to override"]
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, jobs, capsys):
@@ -377,8 +391,8 @@ class TestScan:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, work):
-                return [fn(item) for item in work]
+            def imap(self, fn, work, chunksize):
+                return map(fn, work)
 
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
         monkeypatch.setattr(cli, "Pool", FakePool)
@@ -394,6 +408,56 @@ class TestScan:
         code, _, err = run_cli(capsys, ["scan", "-"])
         assert code == EXIT_OK
         assert "1 graphs processed" in err
+
+    def test_serial_scan_judges_a_line_before_reading_the_rest(
+            self, capsys, monkeypatch):
+        lines = [emit_graph6(g) + "\n"
+                 for g in (cycle(4), paw(), path(4), star(3))]
+        handed_out = 0
+
+        def stdin():
+            nonlocal handed_out
+            for line in lines:
+                handed_out += 1
+                yield line
+
+        first_judged_after = []
+        real = cli.check_theorem
+
+        def recording(g, theorem):
+            if not first_judged_after:
+                first_judged_after.append(handed_out)
+            return real(g, theorem)
+
+        monkeypatch.setattr("sys.stdin", stdin())
+        monkeypatch.setattr(cli, "check_theorem", recording)
+        code, _, err = run_cli(capsys, ["scan", "-"])
+        assert code == EXIT_OK
+        assert "4 graphs processed" in err
+        assert first_judged_after[0] < len(lines)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_lines_numbered_as_splitlines_numbers_them(
+            self, source, jobs, tmp_path, capsys, monkeypatch):
+        """\\r, \\x0c and \\x85 end a line too, as in str.splitlines()."""
+        text = "A_\r\nBw\rBW\x0cCh\x85C~\n\nnot!!\nA?\nH~~~~~~~~~~\nCx"
+        if source == "file":
+            argv = ["scan", write(tmp_path, "batch.g6", text)]
+        else:
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            argv = ["scan", "-"]
+        code, out, err = run_cli(capsys, argv + ["--jobs", jobs])
+        assert (code, out) == (EXIT_OK, "")
+        summary, *skips = err.splitlines()
+        assert "6 graphs processed, 0 inconsistencies, 3 lines skipped" \
+            in summary
+        assert skips == [
+            "  skipped line 7: parse error: non-printable graph6 byte 33 "
+            "(byte offset 3)",
+            "  skipped line 8: disconnected graph",
+            "  skipped line 9: parse error: trailing garbage after graph6 "
+            "body (byte offset 7)"]
 
 
 class TestFormatDetection:

@@ -281,7 +281,8 @@ def test_walk_stops_at_every_cap_as_the_enumeration_does(graphs_upto_5):
             orderings = enumerate_orderings(g, kx).orderings
             m = len(orderings)
             for cap in range(1, m + 2):
-                assert enumerate_orderings(g, kx, cap) == \
+                capped = enumerate_orderings(g, kx, cap)
+                assert (capped.orderings, capped.truncated) == \
                     (orderings[:cap], m > cap), (g, kx, cap)
             for ky in SearchKind:
                 j, first = next(

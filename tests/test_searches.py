@@ -233,13 +233,22 @@ class TestEnumerate:
 
     def test_empty_graph_has_no_orderings(self):
         for kind in ALL_KINDS:
-            assert enumerate_orderings(Graph(0), kind) == ((), False)
+            result = enumerate_orderings(Graph(0), kind)
+            assert (result.orderings, result.truncated) == ((), False)
 
     def test_membership(self):
         result = enumerate_orderings(path(3), SearchKind.BFS)
         assert (1, 2, 0) in result.orderings
         assert (0, 2, 1) not in result.orderings
         assert (2, 1, 0, 3) not in result.orderings
+
+    def test_membership_is_asked_of_the_orderings(self):
+        """``in`` on the result itself would test the pair (orderings,
+        truncated), where False is a member and no ordering is."""
+        result = enumerate_orderings(path(3), SearchKind.BFS)
+        for probe in (False, (1, 2, 0)):
+            with pytest.raises(TypeError):
+                probe in result
 
     def test_cap_truncates_loudly(self):
         result = enumerate_orderings(complete(4), SearchKind.GENERIC, cap=5)
