@@ -7,6 +7,7 @@ Exit codes are a stable contract:
     3  disconnected input where connectivity is required
     4  more orderings than the cap, so the enumeration is truncated, or
        an unknown ``equiv`` verdict
+  141  the reader of stdout went away (128 + SIGPIPE, as ``| head`` gives)
 
 For ``equiv``, ``--cap`` bounds the complete orderings of the first kind
 reached without a counterexample.  A counterexample found within the cap
@@ -17,13 +18,14 @@ reached first and the verdict is unknown (``"verdict": null``).
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import os
 import sys
 import time
 from contextlib import ExitStack
 from multiprocessing import Pool
-from typing import Optional
+from typing import Optional, TextIO
 
 from .graphs import (DisconnectedGraphError, Graph, Graph6ParseError,
                      parse_edge_list, parse_graph6)
@@ -39,20 +41,26 @@ EXIT_NEGATIVE = 1
 EXIT_PARSE = 2
 EXIT_DISCONNECTED = 3
 EXIT_TRUNCATED = 4
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as cat and seq exit
 
 _SCAN_CHUNKSIZE = 256  # scan --jobs: lines per pool task
 
 
+def _open_text(stack: ExitStack, path: str) -> TextIO:
+    """``-`` is stdin, else a file: UTF-8 whatever the locale, bad bytes escaped."""
+    if path == "-":
+        if isinstance(sys.stdin, io.TextIOWrapper):
+            sys.stdin.reconfigure(encoding="utf-8", errors="surrogateescape")
+        return sys.stdin
+    return stack.enter_context(open(path, encoding="utf-8", errors="surrogateescape"))
+
+
 def _read_graph(args) -> Graph:
-    """``--format auto`` reads a lone token as a graph6 record (a single
-    token is never a valid edge list) and anything else as an edge list."""
-    if args.input == "-":
-        text = sys.stdin.read()
-    else:
-        with open(args.input) as fh:
-            text = fh.read()
-    if args.format == "graph6" or (args.format == "auto"
-                                   and len(text.split()) == 1):
+    """A lone token is read as a graph6 record (a single token is never a
+    valid edge list), anything else as an edge list."""
+    with ExitStack() as stack:
+        text = _open_text(stack, args.input).read()
+    if len(text.split()) == 1:
         return parse_graph6(text)
     return parse_edge_list(text)
 
@@ -60,8 +68,8 @@ def _read_graph(args) -> Graph:
 def _load_labels(path: str) -> dict[str, int]:
     """Label mapping file: one ``name index`` pair per line, # comments."""
     mapping: dict[str, int] = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
+    with ExitStack() as stack:
+        for lineno, raw in enumerate(_open_text(stack, path), start=1):
             stripped = raw.strip()
             if not stripped or stripped.startswith("#"):
                 continue
@@ -114,8 +122,6 @@ def _jobs(text: str) -> int:
 def _add_input_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", nargs="?", default="-",
                    help="graph file (graph6 or edge list); '-' for stdin")
-    p.add_argument("--format", choices=("auto", "graph6", "edgelist"),
-                   default="auto")
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
 
@@ -263,8 +269,7 @@ def cmd_scan(args) -> int:
     skipped = []
     inconsistencies = []
     with ExitStack() as stack:
-        fh = (sys.stdin if args.input == "-"
-              else stack.enter_context(open(args.input)))
+        fh = _open_text(stack, args.input)
         # Numbered as text.splitlines() numbers them, \r, \x0c, \x85 too.
         lines = (line for raw in fh for line in raw.splitlines())
         work = ((i, line, theorems) for i, line in enumerate(lines, start=1)
@@ -310,6 +315,10 @@ def main(argv=None) -> int:
     except DisconnectedGraphError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DISCONNECTED
+    except BrokenPipeError:
+        # The reader has gone (`| head`); keep the flush at exit quiet.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

@@ -100,6 +100,12 @@ class Graph:
 # -- graph6 ------------------------------------------------------------
 
 _G6_HEADER = ">>graph6<<"
+_SIX_BITS = {63 + v: f"{v:06b}" for v in range(64)}  # body char -> its bits
+
+
+def _upper_triangle(n: int) -> Iterator[tuple[int, int]]:
+    """graph6's pair order, one body bit each: (0,1), (0,2), (1,2), (0,3), ..."""
+    return ((u, v) for v in range(1, n) for u in range(v))
 
 
 def parse_graph6(line: str) -> Graph:
@@ -109,61 +115,45 @@ def parse_graph6(line: str) -> Graph:
         text = text[len(_G6_HEADER):]
     if not text:
         raise Graph6ParseError("empty graph6 record", offset=0)
-    for i, byte in enumerate(map(ord, text)):
-        if not 63 <= byte <= 126:
-            raise Graph6ParseError(f"non-printable graph6 byte {byte}", offset=i)
-    data = text.encode("ascii")
-    if data[0] == 126:
+    for i, char in enumerate(text):
+        if not "?" <= char <= "~":
+            # an undecodable input byte arrives as a lone surrogate
+            raw = char.encode("utf-8", "surrogateescape"
+                              if "\udc80" <= char <= "\udcff" else "surrogatepass")
+            raise Graph6ParseError(f"non-printable graph6 byte {raw[0]}", offset=i)
+    if text[0] == "~":
         raise Graph6ParseError("long-form graph6 (n > 62) not supported", offset=0)
-    n = data[0] - 63
-    nbits = n * (n - 1) // 2
-    nbytes = (nbits + 5) // 6
-    body = data[1:]
+    n = ord(text[0]) - 63
+    npairs = n * (n - 1) // 2
+    nbytes = (npairs + 5) // 6
+    body = text[1:]
     if len(body) < nbytes:
         raise Graph6ParseError(
             f"graph6 body too short: need {nbytes} bytes, got {len(body)}",
-            offset=len(data))
+            offset=len(text))
     if len(body) > nbytes:
         raise Graph6ParseError("trailing garbage after graph6 body",
                                offset=1 + nbytes)
-    bits = 0
-    for byte in body:
-        bits = bits << 6 | (byte - 63)
-    total = 6 * nbytes
-    # Upper triangle in column order: (0,1), (0,2), (1,2), (0,3), ...
-    edges = []
-    idx = 0
-    for v in range(1, n):
-        for u in range(v):
-            if bits >> (total - 1 - idx) & 1:
-                edges.append((u, v))
-            idx += 1
+    bitstring = body.translate(_SIX_BITS)
     # nauty pads with zero bits
-    for pad in range(idx, total):
-        if bits >> (total - 1 - pad) & 1:
-            raise Graph6ParseError("nonzero padding bit in graph6 body",
-                                   offset=1 + pad // 6)
-    return Graph(n, edges)
+    pad = bitstring.find("1", npairs)
+    if pad >= 0:
+        raise Graph6ParseError("nonzero padding bit in graph6 body",
+                               offset=1 + pad // 6)
+    return Graph(n, [pair for pair, bit in zip(_upper_triangle(n), bitstring)
+                     if bit == "1"])
 
 
 def emit_graph6(g: Graph) -> str:
     """Encode a graph as a short-form graph6 string (n <= 62)."""
     if g.n > 62:
         raise UnsupportedSizeError(f"graph6 short form requires n <= 62, got {g.n}")
-    n = g.n
-    bits = []
-    for v in range(1, n):
-        for u in range(v):
-            bits.append(1 if g.has_edge(u, v) else 0)
-    while len(bits) % 6:
-        bits.append(0)
-    out = [chr(63 + n)]
-    for i in range(0, len(bits), 6):
-        value = 0
-        for b in bits[i:i + 6]:
-            value = value << 1 | b
-        out.append(chr(63 + value))
-    return "".join(out)
+    adj = g.adj
+    bitstring = "".join(["1" if adj[u] >> v & 1 else "0"
+                         for u, v in _upper_triangle(g.n)])
+    bitstring += "0" * (-len(bitstring) % 6)
+    return chr(63 + g.n) + "".join([chr(63 + int(bitstring[i:i + 6], 2))
+                                    for i in range(0, len(bitstring), 6)])
 
 
 # -- edge lists --------------------------------------------------------

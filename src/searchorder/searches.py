@@ -42,8 +42,8 @@ class InconsistentStateError(RuntimeError):
 class SearchState:
     """Visited prefix of a search, with kind-independent bookkeeping.
 
-    Besides the prefix, only its vertex mask and the union of its
-    neighbourhoods are stored, so states stay cheap to copy and compare.
+    It stores its graph, the prefix, the prefix's vertex mask and the union of
+    its neighbourhoods, no more, so states stay cheap to copy and compare.
     """
 
     __slots__ = ("graph", "visited", "visited_mask", "reached_mask")

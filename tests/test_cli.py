@@ -39,6 +39,15 @@ def run_cli(capsys, argv):
     return code, captured.out, captured.err
 
 
+def module_env():
+    """The environment for ``python -m searchorder`` from this checkout."""
+    src = str(Path(searchorder.__file__).parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 class TestClassify:
     def test_star_all_classes(self, tmp_path, capsys):
         f = write(tmp_path, "g.g6", emit_graph6(star(3)))
@@ -74,13 +83,13 @@ class TestClassify:
         code, _, err = run_cli(capsys, ["classify", f])
         assert code == EXIT_PARSE
 
-    @pytest.mark.parametrize("text, fmt, place", [
-        ("D?\x07", "graph6", "byte offset 2"),
-        ("n 3\n0 1\n1 7\n", "edgelist", "line 3"),
+    @pytest.mark.parametrize("text, place", [
+        ("D?\x07", "byte offset 2"),
+        ("n 3\n0 1\n1 7\n", "line 3"),
     ], ids=["graph6", "edgelist"])
-    def test_parse_error_names_its_place(self, tmp_path, capsys, text, fmt, place):
+    def test_parse_error_names_its_place(self, tmp_path, capsys, text, place):
         f = write(tmp_path, "g", text)
-        code, _, err = run_cli(capsys, ["classify", f, "--format", fmt])
+        code, _, err = run_cli(capsys, ["classify", f])
         assert code == EXIT_PARSE
         assert place in err
 
@@ -202,6 +211,20 @@ class TestEnumerate:
         code, out, _ = run_cli(capsys, ["enumerate", f, "--kind", "generic"])
         assert code == EXIT_OK
         assert out.strip().splitlines() == ["0", "count: 1"]
+
+    def test_closed_output_pipe_exits_141_quietly(self, tmp_path):
+        """As under ``| head``: the 40,320 orderings of K8 overfill the pipe
+        after its reader has gone."""
+        f = write(tmp_path, "k8.g6", emit_graph6(complete(8)))
+        with subprocess.Popen(
+                [sys.executable, "-m", "searchorder", "enumerate", f,
+                 "--kind", "generic"], stdin=subprocess.DEVNULL,
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env=module_env()) as proc:
+            assert proc.stdout.readline() == b"0 1 2 3 4 5 6 7\n"
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (141, b"")
 
     def test_truncation_exits_4(self, tmp_path, capsys):
         f = write(tmp_path, "g.g6", emit_graph6(complete(4)))
@@ -335,14 +358,10 @@ class TestScan:
     def test_runs_as_module_without_install(self):
         lines = [line for line in load_packaged_inventory()
                  if searchorder.parse_graph6(line).n <= 4]
-        src = str(Path(searchorder.__file__).parent.parent)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [src, env.get("PYTHONPATH")]))
         done = subprocess.run(
             [sys.executable, "-m", "searchorder", "scan", "-"],
             input="\n".join(lines) + "\n", capture_output=True, text=True,
-            env=env, timeout=120)
+            env=module_env(), timeout=120)
         assert done.returncode == EXIT_OK, done.stderr
         assert done.stdout == ""
         assert f"{len(lines)} graphs processed, 0 inconsistencies" \
@@ -459,6 +478,37 @@ class TestScan:
             "  skipped line 9: parse error: trailing garbage after graph6 "
             "body (byte offset 7)"]
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_file_and_stdin_agree_on_bad_bytes(
+            self, source, jobs, tmp_path, capsys, monkeypatch):
+        """Both are read as UTF-8 whatever the locale; a parse error names
+        the first byte of the offending character.  The stdin is strict, as
+        under a strict locale, so only its reconfiguration lets it pass."""
+        def argv(command, data):
+            if source == "file":
+                target = tmp_path / "input"
+                target.write_bytes(data)
+                return [command, str(target)]
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(
+                io.BytesIO(data), encoding="utf-8", errors="strict"))
+            return [command, "-"]
+
+        code, out, err = run_cli(capsys, argv("scan", b"A_\n\xff\nBw\nB\xc3\xa9\n")
+                                 + ["--jobs", jobs])
+        assert (code, out) == (EXIT_OK, "")
+        summary, *skips = err.splitlines()
+        assert "2 graphs processed, 0 inconsistencies, 2 lines skipped" \
+            in summary
+        assert skips == [
+            "  skipped line 2: parse error: non-printable graph6 byte 255 "
+            "(byte offset 0)",
+            "  skipped line 4: parse error: non-printable graph6 byte 195 "
+            "(byte offset 1)"]
+        code, _, err = run_cli(capsys, argv("classify", b"\xff"))
+        assert code == EXIT_PARSE
+        assert err == "error: non-printable graph6 byte 255 (byte offset 0)\n"
+
 
 class TestFormatDetection:
     def test_auto_detects_graph6(self, tmp_path, capsys):
@@ -488,11 +538,14 @@ class TestFormatDetection:
         assert code == EXIT_PARSE
         assert reason in err
 
-    def test_explicit_format_override(self, tmp_path, capsys):
-        # "@" is valid graph6 but would be an empty edge list
-        f = write(tmp_path, "g", "@")
-        code, _, _ = run_cli(capsys, ["classify", f, "--format", "graph6"])
+    def test_lone_token_is_read_as_graph6(self, tmp_path, capsys):
+        # "@" is valid graph6 but would be an empty edge list; a lone "#"
+        # would be an empty edge list too, and is rejected as graph6
+        code, _, _ = run_cli(capsys, ["classify", write(tmp_path, "g", "@")])
         assert code == EXIT_OK
+        code, _, err = run_cli(capsys, ["classify", write(tmp_path, "h", "#")])
+        assert code == EXIT_PARSE
+        assert "non-printable graph6 byte 35 (byte offset 0)" in err
 
     def test_missing_file_exits_2(self, capsys):
         code, _, err = run_cli(capsys, ["classify", "/nonexistent/graph.g6"])

@@ -15,6 +15,7 @@ from searchorder import (
 )
 from searchorder.graphs import (EDGE_LIST_MAX_VERTICES, bits, component_mask,
                                 require_connected)
+from searchorder.inventory import load_packaged_inventory
 from smallgraphs import complete, cycle, path
 from strategies import random_graphs
 
@@ -97,6 +98,23 @@ class TestGraph6:
         with pytest.raises(Graph6ParseError) as exc:
             parse_graph6("A\u00e9")
         assert exc.value.offset == 1
+
+    @pytest.mark.parametrize("char, byte", [
+        ("\u00e9", 195),  # valid UTF-8: its first byte
+        ("\udcff", 255),  # the undecodable byte 0xff, surrogate-escaped
+        ("\ud800", 237),  # a lone surrogate no decoder made
+    ])
+    def test_non_printable_error_names_the_first_utf8_byte(self, char, byte):
+        with pytest.raises(Graph6ParseError,
+                           match=rf"byte {byte} \(byte offset 1\)$"):
+            parse_graph6("A" + char)
+
+    def test_codec_matches_the_packaged_inventory(self, graphs_upto_7):
+        """Both directions against the packaged lines: a round trip alone
+        passes a bit order that is wrong in both."""
+        lines = load_packaged_inventory()
+        assert [emit_graph6(g) for g in graphs_upto_7] == lines
+        assert [emit_graph6(parse_graph6(line)) for line in lines] == lines
 
     def test_rejects_long_form(self):
         with pytest.raises(Graph6ParseError, match="long-form"):
