@@ -46,7 +46,6 @@ from .patterns import (
 from .equivalence import (
     EquivalenceReport,
     TheoremReport,
-    SizeGuardError,
     orderings_subset,
     orderings_equal,
     check_theorem,

@@ -9,10 +9,12 @@ Exit codes are a stable contract:
        an unknown ``equiv`` verdict
   141  the reader of stdout went away (128 + SIGPIPE, as ``| head`` gives)
 
-For ``equiv``, ``--cap`` bounds the complete orderings of the first kind
-reached without a counterexample.  A counterexample found within the cap
-settles the question, so that case exits 1; exit 4 means the cap was
-reached first and the verdict is unknown (``"verdict": null``).
+For ``enumerate``, ``--cap`` bounds the orderings listed.  For ``equiv``,
+it bounds the search states the inclusion walk expands (prefixes with
+distinct ``SearchState.key()``s), not orderings.  A counterexample found
+within the cap settles the question, so that case exits 1; exit 4 means
+the cap was reached first and the verdict is unknown (``"verdict": null``).
+Only ``scan`` skips graphs with more than 8 vertices.
 """
 
 from __future__ import annotations
@@ -28,13 +30,13 @@ from multiprocessing import Pool
 from typing import Optional, TextIO
 
 from .graphs import (DisconnectedGraphError, Graph, Graph6ParseError,
-                     parse_edge_list, parse_graph6)
-from .searches import (DEFAULT_CAP, SearchKind, TieBreak, enumerate_orderings,
-                       run_search)
+                     is_connected, parse_edge_list, parse_graph6)
+from .searches import (DEFAULT_CAP, DEFAULT_WALK_CAP, SearchKind, TieBreak,
+                       enumerate_orderings, run_search)
 from .validators import PointViolation, is_search_ordering
 from .patterns import FORBIDDEN, find_forbidden, recognize_structure
-from .equivalence import (THEOREMS, SizeGuardError, check_theorem,
-                          orderings_equal, orderings_subset)
+from .equivalence import (THEOREMS, check_theorem, orderings_equal,
+                          orderings_subset)
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -44,6 +46,7 @@ EXIT_TRUNCATED = 4
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as cat and seq exit
 
 _SCAN_CHUNKSIZE = 256  # scan --jobs: lines per pool task
+_SCAN_MAX_N = 8  # scan skips larger graphs: no walk up to here reaches its cap
 
 
 def _open_text(stack: ExitStack, path: str) -> TextIO:
@@ -158,7 +161,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind-x", required=True)
     p.add_argument("--kind-y", required=True)
     p.add_argument("--relation", choices=("subset", "equal"), default="subset")
-    p.add_argument("--cap", type=int, default=DEFAULT_CAP)
+    p.add_argument("--cap", type=int, default=DEFAULT_WALK_CAP,
+                   help="search states the walk may expand")
 
     p = sub.add_parser("scan",
                        help="bulk theorem verification over graph6 lines")
@@ -187,6 +191,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_validate(args) -> int:
+    if args.input == "-" and args.labels == "-":
+        raise ValueError("the graph and --labels cannot both read stdin")
     g = _read_graph(args)
     kind = SearchKind.from_name(args.kind)
     labels = _load_labels(args.labels) if args.labels else None
@@ -247,18 +253,17 @@ def _scan_one(item: tuple[int, str, tuple[str, ...]]
         g = parse_graph6(line)
     except Graph6ParseError as exc:
         return lineno, f"parse error: {exc}", []
-    found = []
-    try:
-        for theorem in theorems:
-            report = check_theorem(g, theorem)
-            found += [(line.strip(), theorem, name,
-                       report.structural_prediction, value)
-                      for name, value in report.items
-                      if value != report.structural_prediction]
-    except DisconnectedGraphError:
+    if not is_connected(g):
         return lineno, "disconnected graph", []
-    except SizeGuardError as exc:
-        return lineno, str(exc), []
+    if g.n > _SCAN_MAX_N:
+        return lineno, f"n={g.n} exceeds the size guard ({_SCAN_MAX_N})", []
+    found = []
+    for theorem in theorems:
+        report = check_theorem(g, theorem)
+        found += [(line.strip(), theorem, name,
+                   report.structural_prediction, value)
+                  for name, value in report.items
+                  if value != report.structural_prediction]
     return lineno, None, found
 
 

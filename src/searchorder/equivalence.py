@@ -12,25 +12,13 @@ from functools import lru_cache
 from typing import Optional
 
 from .graphs import Graph, bits, require_connected
-from .searches import (DEFAULT_CAP, InconsistentStateError, SearchKind,
+from .searches import (DEFAULT_WALK_CAP, InconsistentStateError, SearchKind,
                        SearchState, candidate_mask, complete_prefix)
 # Not called here, but importable as ``equivalence.enumerate_orderings``:
 # bench/spans.py rebinds that name to span the layer in traced runs.
 from .searches import enumerate_orderings  # noqa: F401
 from .validators import PointViolation, is_search_ordering
 from .patterns import ClassLabel, recognize_structure
-
-
-class SizeGuardError(ValueError):
-    pass
-
-
-def _guard(g: Graph, allow_large: bool) -> None:
-    require_connected(g)
-    if g.n > 8 and not allow_large:
-        raise SizeGuardError(
-            f"n={g.n} exceeds the size guard (8); pass allow_large=True "
-            "to override")
 
 
 @dataclass(frozen=True)
@@ -63,7 +51,7 @@ class EquivalenceReport:
 
 
 def _first_outside(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
-                   cap: int) -> tuple[Optional[tuple[int, ...]], bool]:
+                   cap: float) -> tuple[Optional[tuple[int, ...]], bool]:
     """The lexicographically first kind_x ordering of g that is not a kind_y
     ordering (None if there is none), and whether the walk stopped at the cap.
 
@@ -73,47 +61,39 @@ def _first_outside(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
     ascending order.  The first candidate v that kind_y does not allow
     makes every kind_x ordering through prefix + v a counterexample, and
     completing it with min-index kind_x choices gives the first of them.
-    ``cap`` bounds the complete orderings reached without a counterexample;
-    the walk stops there, and then its verdict is not established.
 
     Both paradigms' subtrees depend only on ``SearchState.key()``, so a
-    state whose key roots a subtree already walked without a counterexample
-    is not walked again: ``clean`` holds the number of complete orderings
-    in that subtree, and the walk stops at the cap inside it exactly when
-    those orderings would carry it past the cap.
+    state whose key was walked before is not walked again.  A key never
+    recurs inside its own subtree, whose unvisited masks are smaller, so
+    a key met again roots a subtree already walked to the end without a
+    counterexample.  ``cap`` bounds the distinct keys walked; the walk
+    stops before the next one, and then its verdict is not established.
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
     n = g.n
-    complete = 0
+    walked: set[tuple[int, ...]] = set()
     truncated = False
-    clean: dict[tuple[int, ...], int] = {}
 
     def walk(state: SearchState) -> Optional[tuple[int, ...]]:
-        nonlocal complete, truncated
+        nonlocal truncated
         if len(state.visited) == n:
-            complete += 1
             return None
         key = state.key()
-        if key in clean:
-            if complete + clean[key] > cap:
-                truncated = True
-            else:
-                complete += clean[key]
+        if key in walked:
             return None
-        before = complete
+        if len(walked) >= cap:
+            truncated = True
+            return None
+        walked.add(key)
         allowed = candidate_mask(kind_y, state)
         for v in bits(candidate_mask(kind_x, state)):
-            if complete >= cap:
-                truncated = True
-                return None
             nxt = state.extend(v)
             if not allowed >> v & 1:
                 return complete_prefix(kind_x, nxt)
             found = walk(nxt)
             if found is not None or truncated:
                 return found
-        clean[key] = complete - before
         return None
 
     witness = walk(SearchState(g))
@@ -121,7 +101,7 @@ def _first_outside(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
 
 
 def _one_direction(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
-                   relation: str, cap: int) -> EquivalenceReport:
+                   relation: str, cap: float) -> EquivalenceReport:
     """Is every kind_x ordering a kind_y ordering?  A counterexample is the
     lexicographically first one, with the validator's violating triple or
     vertex for it; the verdict is None if the walk stopped at the cap."""
@@ -157,18 +137,16 @@ def _decide(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
 
 
 def orderings_subset(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
-                     cap: int = DEFAULT_CAP,
-                     allow_large: bool = False) -> EquivalenceReport:
+                     cap: int = DEFAULT_WALK_CAP) -> EquivalenceReport:
     """Is every kind_x ordering of g a kind_y ordering?"""
-    _guard(g, allow_large)
+    require_connected(g)
     return _decide(g, kind_x, kind_y, "subset", cap)
 
 
 def orderings_equal(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
-                    cap: int = DEFAULT_CAP,
-                    allow_large: bool = False) -> EquivalenceReport:
+                    cap: int = DEFAULT_WALK_CAP) -> EquivalenceReport:
     """Do kind_x and kind_y produce identical ordering sets on g?"""
-    _guard(g, allow_large)
+    require_connected(g)
     return _decide(g, kind_x, kind_y, "equal", cap)
 
 
@@ -240,13 +218,13 @@ def _structure(g: Graph) -> ClassLabel:
     return recognize_structure(g)
 
 
-def check_theorem(g: Graph, theorem: str, cap: int = DEFAULT_CAP,
-                  allow_large: bool = False) -> TheoremReport:
+def check_theorem(g: Graph, theorem: str,
+                  cap: int = DEFAULT_WALK_CAP) -> TheoremReport:
     """Compare a theorem's structural class prediction against the
     inclusion walk's verdict on every numbered item."""
     if theorem not in _THEOREMS:
         raise ValueError(f"unknown theorem {theorem!r}; one of {THEOREMS}")
-    _guard(g, allow_large)
+    require_connected(g)
     flag, rows = _THEOREMS[theorem]
     prediction = bool(getattr(_structure(g), flag))
     items = []
@@ -259,10 +237,9 @@ def check_theorem(g: Graph, theorem: str, cap: int = DEFAULT_CAP,
     return TheoremReport(theorem, prediction, tuple(items), tuple(reports))
 
 
-def find_mns_not_mcs(g: Graph,
-                     allow_large: bool = False) -> Optional[tuple[int, ...]]:
+def find_mns_not_mcs(g: Graph) -> Optional[tuple[int, ...]]:
     """Lexicographically first ordering that is MNS-valid but MCS-invalid,
-    or None if there is none: a walk capped at n! never stops short."""
-    _guard(g, allow_large)
+    or None if there is none: the walk is unbounded, so it is exact."""
+    require_connected(g)
     return _one_direction(g, SearchKind.MNS, SearchKind.MCS, "subset",
-                          math.factorial(g.n)).witness_ordering
+                          math.inf).witness_ordering

@@ -236,7 +236,11 @@ def run_search(g: Graph, kind: SearchKind, tiebreak: TieBreak = TieBreak(),
 
 # -- exhaustive enumeration --------------------------------------------
 
-DEFAULT_CAP = 10_000_000
+DEFAULT_CAP = 10_000_000  # orderings an enumeration returns
+# Search states (distinct ``SearchState.key()``s) an inclusion walk expands.
+# No graph with n <= 8 has more than 69,281 (the proper prefixes of 8!
+# orderings); at n = 24 a million states take about 30 s and 0.5 GB.
+DEFAULT_WALK_CAP = 1_000_000
 
 
 @dataclass(frozen=True)  # not a tuple: ask ``o in result.orderings``

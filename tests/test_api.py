@@ -21,7 +21,7 @@ PUBLIC = {
     "find_induced_pan", "recognize_structure", "paw_free_decomposition",
     "P4", "C4", "PAW", "DIAMOND", "PAN",
     # equivalence
-    "EquivalenceReport", "TheoremReport", "SizeGuardError", "orderings_subset",
+    "EquivalenceReport", "TheoremReport", "orderings_subset",
     "orderings_equal", "check_theorem", "find_mns_not_mcs", "THEOREM_A",
     "THEOREM_B", "THEOREM_C", "COROLLARY_A5A6", "THEOREMS",
 }

@@ -153,6 +153,15 @@ class TestValidate:
         assert code == EXIT_OK
         assert json.loads(out)["ordering"] == [2, 0, 3, 1]
 
+    def test_labels_and_graph_both_from_stdin_exits_2(self, capsys,
+                                                      monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("Bw\n"))
+        code, out, err = run_cli(capsys, [
+            "validate", "-", "--labels", "-", "--kind", "bfs",
+            "--ordering", "a,b,c"])
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == "error: the graph and --labels cannot both read stdin\n"
+
     def test_non_permutation_exits_2(self, tmp_path, capsys):
         f = write(tmp_path, "g.g6", emit_graph6(path(3)))
         code, _, err = run_cli(capsys, [
@@ -285,11 +294,12 @@ class TestEquiv:
 
     def test_counterexample_within_cap_exits_1(self, tmp_path, capsys):
         # path 2-1-0-3: the first generic ordering (0, 1, 2, 3) visits 2
-        # while 0's neighbor 3 is waiting, so it is not a BFS ordering
+        # while 0's neighbor 3 is waiting, so it is not a BFS ordering; the
+        # walk finds it after expanding 3 search states
         f = write(tmp_path, "g.el", "0 1\n1 2\n0 3")
         code, out, _ = run_cli(capsys, [
             "equiv", f, "--kind-x", "generic", "--kind-y", "bfs",
-            "--cap", "1", "--json"])
+            "--cap", "3", "--json"])
         assert code == EXIT_NEGATIVE
         payload = json.loads(out)
         assert payload["witness_ordering"] == [0, 1, 2, 3]
@@ -328,8 +338,14 @@ class TestScan:
         assert code == EXIT_OK
         assert out == ""
         assert "0 graphs processed, 0 inconsistencies, 1 lines skipped" in err
-        assert ("  skipped line 1: n=9 exceeds the size guard (8); "
-                "pass allow_large=True to override\n") in err
+        assert "  skipped line 1: n=9 exceeds the size guard (8)\n" in err
+
+    def test_disconnected_large_line_is_skipped_as_disconnected(
+            self, tmp_path, capsys):
+        f = write(tmp_path, "batch.g6", "H_?????\n")  # n = 9, one edge
+        code, out, err = run_cli(capsys, ["scan", f])
+        assert (code, out) == (EXIT_OK, "")
+        assert "  skipped line 1: disconnected graph\n" in err
 
     def test_inconsistency_printed_as_json_and_exits_1(self, tmp_path, capsys,
                                                        monkeypatch):
@@ -387,8 +403,7 @@ class TestScan:
             "  skipped line 2: parse error: non-printable graph6 byte 45 "
             "(byte offset 3)",
             "  skipped line 4: disconnected graph",
-            "  skipped line 6: n=9 exceeds the size guard (8); "
-            "pass allow_large=True to override"]
+            "  skipped line 6: n=9 exceeds the size guard (8)"]
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_rejected(self, jobs, capsys):

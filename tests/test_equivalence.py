@@ -8,7 +8,6 @@ from searchorder import (
     EquivalenceReport,
     Graph,
     SearchKind,
-    SizeGuardError,
     THEOREMS,
     THEOREM_A,
     THEOREM_B,
@@ -23,12 +22,13 @@ from searchorder import (
 from searchorder import equivalence
 from searchorder.equivalence import (_THEOREMS, _first_outside,
                                      _one_direction)
-from searchorder.searches import InconsistentStateError
+from searchorder.searches import InconsistentStateError, SearchState
 from searchorder.validators import PointViolation
 from smallgraphs import (
     MNS_NOT_MCS_BROKEN_EXAMPLE,
     MNS_NOT_MCS_EXAMPLES,
     complete,
+    complete_bipartite,
     cycle,
     pan,
     path,
@@ -67,10 +67,14 @@ class TestOrderingsSubset:
                                       SearchKind.LEXDFS)[0]
 
     def test_size_guard(self):
-        with pytest.raises(SizeGuardError):
-            orderings_subset(cycle(9), SearchKind.BFS, SearchKind.DFS)
-        assert orderings_subset(cycle(9), SearchKind.BFS, SearchKind.LEXBFS,
-                                allow_large=True).verdict
+        """The library has no size guard: it decides at n = 9 unasked."""
+        g = cycle(9)
+        assert orderings_subset(g, SearchKind.BFS, SearchKind.LEXBFS).verdict
+        report = orderings_subset(g, SearchKind.BFS, SearchKind.DFS)
+        assert report.verdict is False
+        assert is_search_ordering(g, report.witness_ordering, SearchKind.BFS)[0]
+        assert not is_search_ordering(g, report.witness_ordering,
+                                      SearchKind.DFS)[0]
 
     def test_cap_must_be_positive(self):
         with pytest.raises(ValueError, match="cap must be positive"):
@@ -95,11 +99,11 @@ class TestOrderingsEqual:
         assert orderings_equal(cycle(4), SearchKind.GENERIC, SearchKind.MNS).verdict
 
     def test_unknown_forward_does_not_hide_refuted_backward(self):
-        # path 2-1-0-3: every BFS ordering is generic, but the walk stops at
-        # the cap before it can say so; the first generic ordering
-        # (0, 1, 2, 3) is not BFS, which settles equality
+        # path 2-1-0-3: every BFS ordering is generic, but the walk needs
+        # 11 search states to say so; after 3 it has found that the first
+        # generic ordering (0, 1, 2, 3) is not BFS, which settles equality
         g = Graph(4, [(0, 1), (1, 2), (0, 3)])
-        report = orderings_equal(g, SearchKind.BFS, SearchKind.GENERIC, cap=1)
+        report = orderings_equal(g, SearchKind.BFS, SearchKind.GENERIC, cap=3)
         assert report.verdict is False
         assert report.witness_ordering == (0, 1, 2, 3)
         assert not report.truncated
@@ -193,14 +197,29 @@ class TestCheckTheorem:
 
     def test_counterexample_within_cap_is_conclusive(self):
         # path 2-1-0-3: its first generic ordering (0, 1, 2, 3) is DFS but
-        # not BFS, so A2 stops at the cap while A3 is refuted before it
+        # not BFS, so A3 is refuted after 3 search states, while A2 needs a
+        # 4th to reach (0, 1, 3, 2) and stops at the cap
         report = check_theorem(Graph(4, [(0, 1), (1, 2), (0, 3)]), THEOREM_A,
-                               cap=1)
+                               cap=3)
         a2, a3 = report.reports[:2]
         assert a2.verdict is None and a2.truncated
         assert not a3.verdict and not a3.truncated
         assert a3.witness_ordering == (0, 1, 2, 3)
         assert report.truncated and not report.consistent
+
+    def test_theorems_settled_past_n8_without_a_flag(self):
+        """At the default cap every item is decided, and as predicted, on
+        class members and near-misses with 9 to 12 vertices."""
+        tree = Graph(12, [(i, (i - 1) // 2) for i in range(1, 12)])
+        k10_minus_e = Graph(10, [(u, v) for u in range(10)
+                                 for v in range(u + 1, 10) if (u, v) != (0, 1)])
+        for g in (complete(9), complete(11), star(9), cycle(12),
+                  complete_bipartite(5, 5), tree, k10_minus_e):
+            for theorem in THEOREMS:
+                report = check_theorem(g, theorem)
+                assert all(value == report.structural_prediction
+                           for _, value in report.items), (g, report)
+        assert find_mns_not_mcs(complete(10)) is None
 
 
 class TestFindMnsNotMcs:
@@ -270,12 +289,9 @@ def test_walk_matches_enumerate_then_validate(graphs_upto_6):
                 (g, kx, ky)
 
 
-def test_walk_stops_at_every_cap_as_the_enumeration_does(graphs_upto_5):
-    """With o_j the first kind_x ordering that kind_y rejects, a walk capped
-    at c finds o_j iff the j - 1 orderings before it fit under c; without
-    such an ordering it is truncated iff the m orderings exceed c.  The
-    enumeration capped at c keeps the first c orderings, and it too is
-    truncated iff m exceeds c."""
+def test_enumeration_stops_at_every_cap(graphs_upto_5):
+    """The enumeration capped at c keeps the first c orderings, and it is
+    truncated iff more than c exist."""
     for g in graphs_upto_5:
         for kx in SearchKind:
             orderings = enumerate_orderings(g, kx).orderings
@@ -284,19 +300,29 @@ def test_walk_stops_at_every_cap_as_the_enumeration_does(graphs_upto_5):
                 capped = enumerate_orderings(g, kx, cap)
                 assert (capped.orderings, capped.truncated) == \
                     (orderings[:cap], m > cap), (g, kx, cap)
+
+
+def test_walk_cap_is_a_threshold_in_search_states(graphs_upto_5):
+    """With K the distinct keys among the proper prefixes of the kind_x
+    orderings, counted from the enumeration, there is a T <= K such that
+    every cap below T stops the walk unknown and every cap from T to K + 1
+    gives the first kind_x ordering that kind_y's validator rejects."""
+    for g in graphs_upto_5:
+        for kx in SearchKind:
+            orderings = enumerate_orderings(g, kx).orderings
+            keys = {SearchState(g, o[:i]).key()
+                    for o in orderings for i in range(g.n)}
+            k = len(keys)
             for ky in SearchKind:
-                j, first = next(
-                    ((j, o) for j, o in enumerate(orderings, 1)
-                     if not is_search_ordering(g, o, ky)[0]), (None, None))
-                for cap in range(1, m + 2):
-                    if first is None:
-                        expected = (None, m > cap)
-                    elif j - 1 < cap:
-                        expected = (first, False)
-                    else:
-                        expected = (None, True)
-                    assert _first_outside(g, kx, ky, cap) == expected, \
-                        (g, kx, ky, cap)
+                first = next((o for o in orderings
+                              if not is_search_ordering(g, o, ky)[0]), None)
+                got = [_first_outside(g, kx, ky, cap)
+                       for cap in range(1, k + 2)]
+                t = next((cap for cap, result in enumerate(got, 1)
+                          if result != (None, True)), k + 2)
+                assert t <= k, (g, kx, ky)
+                assert got[t - 1:] == [(first, False)] * (k + 2 - t), \
+                    (g, kx, ky)
 
 
 def test_clique_walks_each_search_state_once(monkeypatch):
