@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
-from .graphs import Graph, bits, require_connected
+from .graphs import Graph, require_connected
 from .searches import (DEFAULT_WALK_CAP, InconsistentStateError, SearchKind,
                        SearchState, candidate_mask, complete_prefix)
 # Not called here, but importable as ``equivalence.enumerate_orderings``:
@@ -72,32 +72,32 @@ def _first_outside(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
     if cap <= 0:
         raise ValueError("cap must be positive")
     n = g.n
-    walked: set[tuple[int, ...]] = set()
-    truncated = False
-
-    def walk(state: SearchState) -> Optional[tuple[int, ...]]:
-        nonlocal truncated
+    if n == 0:
+        return None, False
+    root = SearchState(g)
+    walked = {root.key()}
+    # one frame per depth: a state, kind_x's candidates not yet tried there
+    # and kind_y's candidates
+    stack = [(root, candidate_mask(kind_x, root), candidate_mask(kind_y, root))]
+    while stack:
+        state, rest, allowed = stack.pop()
+        low = rest & -rest
+        if rest != low:
+            stack.append((state, rest ^ low, allowed))
+        state = state.extend(low.bit_length() - 1)
+        if not allowed & low:
+            return complete_prefix(kind_x, state), False
         if len(state.visited) == n:
-            return None
+            continue
         key = state.key()
         if key in walked:
-            return None
+            continue
         if len(walked) >= cap:
-            truncated = True
-            return None
+            return None, True
         walked.add(key)
-        allowed = candidate_mask(kind_y, state)
-        for v in bits(candidate_mask(kind_x, state)):
-            nxt = state.extend(v)
-            if not allowed >> v & 1:
-                return complete_prefix(kind_x, nxt)
-            found = walk(nxt)
-            if found is not None or truncated:
-                return found
-        return None
-
-    witness = walk(SearchState(g))
-    return witness, truncated
+        stack.append((state, candidate_mask(kind_x, state),
+                      candidate_mask(kind_y, state)))
+    return None, False
 
 
 def _one_direction(g: Graph, kind_x: SearchKind, kind_y: SearchKind,

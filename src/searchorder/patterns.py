@@ -88,17 +88,14 @@ def _induced_cycles(g: Graph):
     Each cycle appears once: it starts at its smallest vertex and its
     second vertex is smaller than its last.
     """
-    n = g.n
     adj = g.adj
-    for s in range(n):
-        path = [s]
-
-        def extend(path_mask: int):
+    for s in range(g.n):
+        later = ~((2 << s) - 1)  # the vertices after s
+        stack = [((s,), 1 << s)]  # chordless paths from s, with their masks
+        while stack:
+            path, path_mask = stack.pop()
             last = path[-1]
-            for w in range(s + 1, n):
-                bit = 1 << w
-                if path_mask & bit or not adj[last] >> w & 1:
-                    continue
+            for w in bits(adj[last] & later & ~path_mask):
                 # w may touch the path only at `last`, plus s when closing
                 others = adj[w] & path_mask & ~(1 << last)
                 if others & ~(1 << s):
@@ -106,18 +103,16 @@ def _induced_cycles(g: Graph):
                 if others:
                     # w closes the cycle; one orientation per cycle
                     if path[1] < w:
-                        yield tuple(path) + (w,)
+                        yield path + (w,)
                     continue  # extending past w would leave the sw chord
-                path.append(w)
-                yield from extend(path_mask | bit)
-                path.pop()
-
-        yield from extend(1 << s)
+                stack.append((path + (w,), path_mask | 1 << w))
 
 
 def find_induced_pan(g: Graph) -> Optional[PatternHit]:
-    """Some induced k-pan (k >= 3) if one exists: a chordless cycle plus a
-    vertex adjacent to exactly one cycle vertex."""
+    """An induced k-pan (k >= 3), if one exists: a chordless cycle plus a
+    vertex adjacent to exactly one cycle vertex.  Of all of them, it is
+    the one with the shortest cycle, and among those the one whose
+    ``vertices`` tuple is lexicographically smallest."""
     best = None
     for cycle in _induced_cycles(g):
         k = len(cycle)
@@ -241,21 +236,20 @@ def is_triangle_free(g: Graph) -> bool:
 def is_trivially_perfect(g: Graph) -> bool:
     """Universal-vertex peeling: every connected induced piece must have a
     universal vertex."""
-
-    def peel(mask: int) -> bool:
-        # split into components first
+    work = [(1 << g.n) - 1]  # vertex sets still to peel
+    while work:
+        mask = work.pop()
         rest = mask
         while rest:
             comp = component_mask(g, (rest & -rest).bit_length() - 1, mask)
             if comp.bit_count() > 1:
                 universal = next((v for v in bits(comp)
                                   if g.adj[v] & comp == comp & ~(1 << v)), None)
-                if universal is None or not peel(comp & ~(1 << universal)):
+                if universal is None:
                     return False
+                work.append(comp & ~(1 << universal))
             rest &= ~comp
-        return True
-
-    return peel((1 << g.n) - 1)
+    return True
 
 
 def recognize_structure(g: Graph) -> ClassLabel:

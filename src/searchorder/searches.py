@@ -263,23 +263,22 @@ def enumerate_orderings(g: Graph, kind: SearchKind,
     if cap <= 0:
         raise ValueError("cap must be positive")
     found: list[tuple[int, ...]] = []
-    truncated = False
     n = g.n
     if n == 0:
         return EnumerationResult((), False)
-
-    def recurse(state: SearchState) -> bool:
-        nonlocal truncated
-        if len(state.visited) == n:
-            if len(found) == cap:
-                truncated = True
-                return False
+    root = SearchState(g)
+    # one frame per depth: a state and its candidates not yet tried
+    stack = [(root, candidate_mask(kind, root))]
+    while stack:
+        state, rest = stack.pop()
+        low = rest & -rest
+        if rest != low:
+            stack.append((state, rest ^ low))
+        state = state.extend(low.bit_length() - 1)
+        if len(state.visited) < n:
+            stack.append((state, candidate_mask(kind, state)))
+        elif len(found) == cap:
+            return EnumerationResult(tuple(found), True)
+        else:
             found.append(state.visited)
-            return True
-        for v in bits(candidate_mask(kind, state)):
-            if not recurse(state.extend(v)):
-                return False
-        return True
-
-    recurse(SearchState(g))
-    return EnumerationResult(tuple(found), truncated)
+    return EnumerationResult(tuple(found), False)

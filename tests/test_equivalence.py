@@ -76,6 +76,10 @@ class TestOrderingsSubset:
         assert not is_search_ordering(g, report.witness_ordering,
                                       SearchKind.DFS)[0]
 
+    def test_empty_graph_holds_vacuously(self):
+        report = orderings_subset(Graph(0), SearchKind.GENERIC, SearchKind.DFS)
+        assert (report.verdict, report.witness_ordering) == (True, None)
+
     def test_cap_must_be_positive(self):
         with pytest.raises(ValueError, match="cap must be positive"):
             orderings_subset(path(3), SearchKind.GENERIC, SearchKind.BFS,

@@ -1,0 +1,52 @@
+"""Graphs deeper than Python's recursion limit.
+
+Every traversal that follows the input's size is a loop, so a path or a
+clique of a thousand vertices is walked like a small one.
+"""
+
+import inspect
+import io
+import sys
+
+from searchorder import Graph, SearchKind, enumerate_orderings, orderings_subset
+from searchorder.cli import EXIT_TRUNCATED, main
+from searchorder.patterns import PAN, PatternHit, find_induced_pan, recognize_structure
+from smallgraphs import complete, path
+
+
+def test_enumeration_of_a_1200_vertex_path_truncates():
+    result = enumerate_orderings(path(1200), SearchKind.BFS, cap=3)
+    assert result.truncated
+    assert len(result.orderings) == 3
+
+
+def test_inclusion_walk_refutes_bfs_in_dfs_on_a_1200_vertex_path():
+    report = orderings_subset(path(1200), SearchKind.BFS, SearchKind.DFS)
+    assert report.verdict is False
+    assert report.witness_ordering == (1, 2, 0, *range(3, 1200))
+
+
+def test_a_1100_clique_is_trivially_perfect():
+    assert recognize_structure(complete(1100)).class_c is True
+
+
+def test_pan_search_runs_below_the_path_length_in_stack_depth():
+    """A 300-vertex path with the chord (0, 2), searched with room for
+    fewer than 300 more frames: a search recursing once per path vertex
+    would fail here."""
+    g = Graph(300, path(300).edges() + [(0, 2)])
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+    try:
+        hit = find_induced_pan(g)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert hit == PatternHit(PAN, (2, 0, 1, 3), k=3)
+
+
+def test_cli_enumerates_a_1200_vertex_path_from_stdin(capsys, monkeypatch):
+    edges = "".join(f"{i} {i + 1}\n" for i in range(1199))
+    monkeypatch.setattr("sys.stdin", io.StringIO(edges))
+    code = main(["enumerate", "-", "--kind", "bfs", "--cap", "3"])
+    assert code == EXIT_TRUNCATED
+    assert "TRUNCATED" in capsys.readouterr().out

@@ -11,9 +11,11 @@ from searchorder import (
     P4,
     PAN,
     PAW,
+    PatternHit,
     find_induced_pan,
     find_induced_small,
     induced_subgraph,
+    parse_graph6,
     paw_free_decomposition,
     recognize_structure,
 )
@@ -116,6 +118,17 @@ class TestPanDetector:
 
     def test_plain_cycle_has_no_pan(self):
         assert find_induced_pan(cycle(6)) is None
+
+    def test_shortest_cycle_wins(self):
+        """A 4-cycle and a triangle joined by the edge 3-4 hold a 4-pan and
+        a 3-pan."""
+        hit = find_induced_pan(parse_graph6("FlCGW"))
+        assert hit == PatternHit(PAN, (4, 5, 6, 3), k=3)
+
+    def test_smallest_vertex_tuple_breaks_ties(self):
+        """A 4-cycle with pendants on 2 and 3 holds two 4-pans."""
+        hit = find_induced_pan(parse_graph6("ElGO"))
+        assert hit == PatternHit(PAN, (2, 3, 0, 1, 4), k=4)
 
     def test_hit_shape(self):
         g = pan(5)
