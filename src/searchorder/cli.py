@@ -228,8 +228,9 @@ def cmd_enumerate(args) -> int:
                           "count": len(result.orderings),
                           "truncated": result.truncated}))
     else:
+        names = [str(v) for v in range(g.n)]
         for ordering in result.orderings:
-            print(" ".join(str(v) for v in ordering))
+            print(" ".join([names[v] for v in ordering]))
         suffix = " TRUNCATED" if result.truncated else ""
         print(f"count: {len(result.orderings)}{suffix}")
     return EXIT_TRUNCATED if result.truncated else EXIT_OK

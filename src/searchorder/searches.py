@@ -82,6 +82,10 @@ class SearchState:
         positions of those neighbours.  A visited vertex without unvisited
         neighbours is nobody's visited neighbour now or later, so it can
         never matter again.
+
+        Two walks rely on this.  The inclusion walk in ``equivalence``
+        expands each key once, and ``enumerate_orderings`` walks each key
+        once and copies its orderings below every later state with it.
         """
         rest = ~self.visited_mask
         adj = self.graph.adj
@@ -254,10 +258,13 @@ def enumerate_orderings(g: Graph, kind: SearchKind,
     """All orderings the paradigm can produce, by branching on every tie.
 
     Every tie's candidates, the start included, are tried in ascending
-    order, so the orderings come out lexicographically sorted.
-    Intended for small graphs (n <= 8 or so).  If there are more than
-    ``cap`` orderings, the first ``cap`` are returned and the truncation
-    flag says so, never silently.
+    order, so the orderings come out lexicographically sorted.  States
+    with equal keys root identical subtrees, so the orderings below a
+    repeated key are copied from the first state walked with that key,
+    with the prefix swapped, not walked again.  What limits n is then the
+    size of the output, not the walk: K_n has n! orderings of every kind.
+    If there are more than ``cap`` orderings, the first ``cap`` are
+    returned and the truncation flag says so, never silently.
     """
     require_connected(g)
     if cap <= 0:
@@ -266,19 +273,40 @@ def enumerate_orderings(g: Graph, kind: SearchKind,
     n = g.n
     if n == 0:
         return EnumerationResult((), False)
+    # key -> (first, end): found[first:end] are the orderings through the
+    # first state walked with that key
+    walked: dict[tuple[int, ...], tuple[int, int]] = {}
     root = SearchState(g)
-    # one frame per depth: a state and its candidates not yet tried
-    stack = [(root, candidate_mask(kind, root))]
+    # one frame per depth: a state, its candidates not yet tried, its key
+    # and where its orderings start in ``found``; popped with no candidates
+    # left, its subtree is done
+    stack = [(root, candidate_mask(kind, root), root.key(), 0)]
     while stack:
-        state, rest = stack.pop()
+        state, rest, key, first = stack.pop()
+        if not rest:
+            walked[key] = (first, len(found))
+            continue
         low = rest & -rest
-        if rest != low:
-            stack.append((state, rest ^ low))
+        # a frame left with no candidates needs no state, only its span
+        stack.append((state if rest != low else None, rest ^ low, key, first))
         state = state.extend(low.bit_length() - 1)
-        if len(state.visited) < n:
-            stack.append((state, candidate_mask(kind, state)))
-        elif len(found) == cap:
-            return EnumerationResult(tuple(found), True)
-        else:
+        depth = len(state.visited)
+        if depth == n:
+            if len(found) == cap:
+                return EnumerationResult(tuple(found), True)
             found.append(state.visited)
+            continue
+        key = state.key()
+        span = walked.get(key)
+        if span is None:
+            stack.append((state, candidate_mask(kind, state), key, len(found)))
+            continue
+        # an equal key leaves the same vertices unvisited, so the span's
+        # orderings complete this prefix from the same depth on
+        first, end = span
+        stop = min(end, first + cap - len(found))
+        prefix = state.visited
+        found += [prefix + o[depth:] for o in found[first:stop]]
+        if stop < end:
+            return EnumerationResult(tuple(found), True)
     return EnumerationResult(tuple(found), False)

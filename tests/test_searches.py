@@ -264,6 +264,46 @@ class TestEnumerate:
             enumerate_orderings(Graph(3, [(0, 1)]), SearchKind.BFS)
 
 
+class TestClosedFormCounts:
+    """Ordering counts known in closed form, past the sizes the oracles
+    reach.  Most of these orderings are copied from an earlier state with
+    the same key, so the copies are checked for order and count."""
+
+    @staticmethod
+    def orderings(g, kind):
+        result = enumerate_orderings(g, kind)
+        assert not result.truncated
+        found = result.orderings
+        assert all(a < b for a, b in zip(found, found[1:])), (g, kind)
+        return found
+
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda k: k.value)
+    def test_k8_gives_every_permutation(self, kind):
+        assert self.orderings(complete(8), kind) == \
+            tuple(permutations(range(8)))
+
+    def test_path_p12_generic(self):
+        assert len(self.orderings(path(12), SearchKind.GENERIC)) == 2 ** 11
+
+    def test_cycle_c12_generic(self):
+        assert len(self.orderings(cycle(12), SearchKind.GENERIC)) == \
+            12 * 2 ** 10
+
+    @pytest.mark.parametrize("kind", [SearchKind.BFS, SearchKind.GENERIC],
+                             ids=lambda k: k.value)
+    def test_star_k1_8(self, kind):
+        assert len(self.orderings(star(8), kind)) == 2 * 40_320
+
+    @pytest.mark.parametrize("cap", [7, 61, 119])
+    def test_cap_inside_a_copied_span(self, cap):
+        """K5's 7th and 61st Generic orderings each open a span of two
+        copied from an earlier state with the same key, and its last six
+        are one such span, so cap 119 stops one short of the last."""
+        full = enumerate_orderings(complete(5), SearchKind.GENERIC).orderings
+        result = enumerate_orderings(complete(5), SearchKind.GENERIC, cap=cap)
+        assert (result.orderings, result.truncated) == (full[:cap], True)
+
+
 class TestAgainstSimulationOracles:
     """The candidate rules must reproduce exactly the orderings accepted by
     the independent data-structure simulations, for every connected graph
