@@ -83,9 +83,9 @@ class SearchState:
         neighbours is nobody's visited neighbour now or later, so it can
         never matter again.
 
-        Two walks rely on this.  The inclusion walk in ``equivalence``
-        expands each key once, and ``enumerate_orderings`` walks each key
-        once and copies its orderings below every later state with it.
+        The inclusion walk in ``equivalence`` relies on this: it expands
+        each key once.  ``enumerate_orderings`` uses each kind's own, coarser
+        key instead (``_STEPS``).
         """
         rest = ~self.visited_mask
         adj = self.graph.adj
@@ -176,6 +176,91 @@ _RULES = {
 }
 
 
+# State keys, one per kind: what the kind's candidates read of a state, at
+# it and after any extension of it.  Each step maps (adjacency masks, key,
+# vertex) to the key after visiting the vertex, so keys are carried from
+# parent to child.  Equal keys leave the same vertices unvisited and give
+# the same candidates, and a step reads only the key, so states with equal
+# keys root identical search trees.
+
+def _visit(adj, key, v):
+    """Generic, MNS and MCS read only the visited mask."""
+    return key | 1 << v
+
+
+def _bfs_step(adj, key, v):
+    """(unreached vertices, fringe classes by first visited neighbour,
+    oldest first): BFS takes the first class."""
+    keep = ~(1 << v)
+    new = adj[v] & key[0]
+    parts = [r for c in key[1:] if (r := c & keep)]
+    if new:
+        parts.append(new)
+    return ((key[0] ^ new) & keep, *parts)
+
+
+def _dfs_step(adj, key, v):
+    """(unvisited vertices, fringe classes by last visited neighbour,
+    newest first): DFS takes the first class."""
+    unvisited = key[0] & ~(1 << v)
+    new = adj[v] & unvisited
+    keep = ~(new | 1 << v)
+    parts = [r for c in key[1:] if (r := c & keep)]
+    return (unvisited, new, *parts) if new else (unvisited, *parts)
+
+
+def _split(adj, key, v, ins, outs):
+    """Append each class's part in N(v) to ``ins`` and the rest, v dropped,
+    to ``outs``.  A class that neither meets N(v) nor holds v goes whole,
+    so on sparse graphs most classes cost one test."""
+    inside = adj[v]
+    touched = inside | 1 << v
+    outside = ~touched
+    for c in key:
+        if c & touched:
+            if c & inside:
+                ins.append(c & inside)
+            if c & outside:
+                outs.append(c & outside)
+        else:
+            outs.append(c)
+
+
+def _lexbfs_step(adj, key, v):
+    """Label classes of the unvisited vertices, best label first: v splits
+    each class into its part in N(v), then the rest."""
+    parts = []
+    _split(adj, key, v, parts, parts)
+    return tuple(parts)
+
+
+def _lexdfs_step(adj, key, v):
+    """Label classes as for LexBFS, but v is the most significant neighbour:
+    every class's part in N(v) comes before every class's rest."""
+    ins = []
+    outs = []
+    _split(adj, key, v, ins, outs)
+    return (*ins, *outs)
+
+
+_STEPS = {
+    SearchKind.GENERIC: _visit,
+    SearchKind.BFS: _bfs_step,
+    SearchKind.DFS: _dfs_step,
+    SearchKind.LEXBFS: _lexbfs_step,
+    SearchKind.LEXDFS: _lexdfs_step,
+    SearchKind.MNS: _visit,
+    SearchKind.MCS: _visit,
+}
+
+
+def _root_key(kind: SearchKind, n: int):
+    """The key with nothing visited: the visited mask 0, or every vertex
+    unreached (BFS), unvisited (DFS) or in one label class (LexBFS,
+    LexDFS)."""
+    return 0 if _STEPS[kind] is _visit else ((1 << n) - 1,)
+
+
 def candidate_mask(kind: SearchKind, state: SearchState) -> int:
     """The exact set of vertices the paradigm permits as the next choice
     from ``state``, as a bitmask; 0 once every vertex is visited."""
@@ -258,13 +343,18 @@ def enumerate_orderings(g: Graph, kind: SearchKind,
     """All orderings the paradigm can produce, by branching on every tie.
 
     Every tie's candidates, the start included, are tried in ascending
-    order, so the orderings come out lexicographically sorted.  States
+    order, so the orderings come out lexicographically sorted.  Each kind
+    has its own state key (``_STEPS``): the visited mask for Generic, MNS
+    and MCS, an ordered partition of the unvisited vertices for BFS, DFS,
+    LexBFS and LexDFS.  A child's key is stepped from its parent's.  States
     with equal keys root identical subtrees, so the orderings below a
     repeated key are copied from the first state walked with that key,
-    with the prefix swapped, not walked again.  What limits n is then the
-    size of the output, not the walk: K_n has n! orderings of every kind.
-    If there are more than ``cap`` orderings, the first ``cap`` are
-    returned and the truncation flag says so, never silently.
+    with the prefix swapped, not walked again.  With one vertex left, it is
+    every kind's only candidate, so that ordering is appended at once.
+    What limits n is then the size of the output, not the walk: K_n has n!
+    orderings of every kind.  If there are more than ``cap`` orderings, the
+    first ``cap`` are returned and the truncation flag says so, never
+    silently.
     """
     require_connected(g)
     if cap <= 0:
@@ -273,14 +363,17 @@ def enumerate_orderings(g: Graph, kind: SearchKind,
     n = g.n
     if n == 0:
         return EnumerationResult((), False)
+    adj = g.adj
+    step = _STEPS[kind]
+    everyone = (1 << n) - 1
     # key -> (first, end): found[first:end] are the orderings through the
     # first state walked with that key
-    walked: dict[tuple[int, ...], tuple[int, int]] = {}
+    walked: dict[int | tuple[int, ...], tuple[int, int]] = {}
     root = SearchState(g)
     # one frame per depth: a state, its candidates not yet tried, its key
     # and where its orderings start in ``found``; popped with no candidates
     # left, its subtree is done
-    stack = [(root, candidate_mask(kind, root), root.key(), 0)]
+    stack = [(root, candidate_mask(kind, root), _root_key(kind, n), 0)]
     while stack:
         state, rest, key, first = stack.pop()
         if not rest:
@@ -289,23 +382,26 @@ def enumerate_orderings(g: Graph, kind: SearchKind,
         low = rest & -rest
         # a frame left with no candidates needs no state, only its span
         stack.append((state if rest != low else None, rest ^ low, key, first))
-        state = state.extend(low.bit_length() - 1)
-        depth = len(state.visited)
-        if depth == n:
+        v = low.bit_length() - 1
+        prefix = state.visited + (v,)
+        depth = len(prefix)
+        if depth >= n - 1:
+            # one vertex left at most: every kind's only candidate
             if len(found) == cap:
                 return EnumerationResult(tuple(found), True)
-            found.append(state.visited)
+            last = everyone ^ state.visited_mask ^ low
+            found.append(prefix + (last.bit_length() - 1,) if last else prefix)
             continue
-        key = state.key()
+        key = step(adj, key, v)
         span = walked.get(key)
         if span is None:
+            state = state.extend(v)
             stack.append((state, candidate_mask(kind, state), key, len(found)))
             continue
         # an equal key leaves the same vertices unvisited, so the span's
         # orderings complete this prefix from the same depth on
         first, end = span
         stop = min(end, first + cap - len(found))
-        prefix = state.visited
         found += [prefix + o[depth:] for o in found[first:stop]]
         if stop < end:
             return EnumerationResult(tuple(found), True)

@@ -14,7 +14,12 @@ from searchorder import (
     run_search,
 )
 from searchorder.graphs import bits
-from searchorder.searches import InconsistentStateError, candidate_mask
+from searchorder.searches import (
+    _STEPS,
+    InconsistentStateError,
+    _root_key,
+    candidate_mask,
+)
 from oracles import ORACLES, reference_candidates
 from smallgraphs import complete, complete_bipartite, cycle, pan, path, paw, star
 from strategies import random_connected_graphs
@@ -108,6 +113,66 @@ def test_equal_keys_give_equal_candidates(graphs_upto_6):
             for v in bits(fringe):
                 assert state.extend(v).key() == seen.extend(v).key()
     assert compared > 10_000
+
+
+def _keyed_prefixes(g):
+    """Every incomplete state a generic search of g can reach, with each
+    kind's key carried along its prefix."""
+    roots = {kind: _root_key(kind, g.n) for kind in ALL_KINDS}
+    stack = [(SearchState(g), roots)]
+    while stack:
+        state, keys = stack.pop()
+        if len(state.visited) < g.n:
+            yield state, keys
+            for v in candidates(SearchKind.GENERIC, state):
+                stack.append((state.extend(v),
+                              {kind: _STEPS[kind](g.adj, key, v)
+                               for kind, key in keys.items()}))
+
+
+def _assert_partition(parts, whole):
+    union = 0
+    for part in parts:
+        assert part and not part & union, parts
+        union |= part
+    assert union == whole, parts
+
+
+def test_kind_keys_are_sound(graphs_upto_6):
+    """enumerate_orderings relies on this: states with equal keys for a kind
+    leave the same vertices unvisited and offer equal candidates for that
+    kind.  Their equal extensions get equal keys, since a step reads only
+    the key, and the walk compares those extensions in turn.  A partition
+    key's first class is the kind's candidate set, and each key is a
+    function of the full ``SearchState.key()``, so it never shares less."""
+    compared = 0
+    for g in graphs_upto_6:
+        everyone = (1 << g.n) - 1
+        first = {}
+        by_full_key = {}
+        for state, keys in _keyed_prefixes(g):
+            assert by_full_key.setdefault(state.key(), keys) == keys
+            unvisited = everyone & ~state.visited_mask
+            fringe = state.reached_mask & unvisited
+            for kind, key in keys.items():
+                got = candidate_mask(kind, state)
+                if not isinstance(key, tuple):  # Generic, MNS and MCS
+                    assert key == state.visited_mask
+                elif kind in (SearchKind.BFS, SearchKind.DFS):
+                    assert key[0] == (unvisited ^ fringe
+                                      if kind is SearchKind.BFS else unvisited)
+                    _assert_partition(key[1:], fringe)
+                    assert got == (key[1] if fringe else everyone)
+                else:
+                    _assert_partition(key, unvisited)
+                    assert got == key[0]
+                seen = first.setdefault((kind, key), state)
+                if seen is state:
+                    continue
+                compared += 1
+                assert got == candidate_mask(kind, seen), \
+                    (g, kind, state.visited, seen.visited)
+    assert compared == 392_230
 
 
 def test_candidates_match_reference_rules(graphs_upto_6):
@@ -341,3 +406,31 @@ def test_candidates_match_reference_past_exhaustive_sizes(g, rng):
             break
         options = sorted(candidates(SearchKind.GENERIC, state))
         state = state.extend(rng.choice(options))
+
+
+def _unshared_orderings(g, kind, cap):
+    """Depth-first over candidate_mask in ascending order, no memo, stopped
+    once ``cap + 1`` orderings are found."""
+    found = []
+    stack = [SearchState(g)]
+    while stack and len(found) <= cap:
+        state = stack.pop()
+        if len(state.visited) == g.n:
+            found.append(state.visited)
+            continue
+        stack.extend(state.extend(v) for v in
+                     sorted(bits(candidate_mask(kind, state)), reverse=True))
+    return tuple(found[:cap]), len(found) > cap
+
+
+@settings(max_examples=50, deadline=None, derandomize=True, database=None)
+@given(random_connected_graphs())
+def test_enumeration_matches_unshared_walk_past_exhaustive_sizes(g):
+    """Subtrees shared below equal per-kind keys give what walking every
+    subtree gives, orderings and truncation flag alike, at a large and a
+    small cap."""
+    for kind in ALL_KINDS:
+        for cap in (300, 7):
+            result = enumerate_orderings(g, kind, cap)
+            assert (result.orderings, result.truncated) == \
+                _unshared_orderings(g, kind, cap), (g, kind, cap)
