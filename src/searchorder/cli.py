@@ -10,8 +10,8 @@ Exit codes are a stable contract:
   141  the reader of stdout went away (128 + SIGPIPE, as ``| head`` gives)
 
 For ``enumerate``, ``--cap`` bounds the orderings listed.  For ``equiv``,
-it bounds the search states the inclusion walk expands (prefixes with
-distinct ``SearchState.key()``s), not orderings.  A counterexample found
+it bounds the search states the inclusion walk expands (distinct pairs
+of the two kinds' state keys), not orderings.  A counterexample found
 within the cap settles the question, so that case exits 1; exit 4 means
 the cap was reached first and the verdict is unknown (``"verdict": null``).
 Only ``scan`` skips graphs with more than 8 vertices.
@@ -162,7 +162,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind-y", required=True)
     p.add_argument("--relation", choices=("subset", "equal"), default="subset")
     p.add_argument("--cap", type=int, default=DEFAULT_WALK_CAP,
-                   help="search states the walk may expand")
+                   help="search states (key pairs) the walk may expand")
 
     p = sub.add_parser("scan",
                        help="bulk theorem verification over graph6 lines")

@@ -12,8 +12,9 @@ from functools import lru_cache
 from typing import Optional
 
 from .graphs import Graph, require_connected
-from .searches import (DEFAULT_WALK_CAP, InconsistentStateError, SearchKind,
-                       SearchState, candidate_mask, complete_prefix)
+from .searches import (_STEPS, DEFAULT_WALK_CAP, InconsistentStateError,
+                       SearchKind, SearchState, _root_key, candidate_mask,
+                       complete_prefix)
 # Not called here, but importable as ``equivalence.enumerate_orderings``:
 # bench/spans.py rebinds that name to span the layer in traced runs.
 from .searches import enumerate_orderings  # noqa: F401
@@ -62,11 +63,13 @@ def _first_outside(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
     makes every kind_x ordering through prefix + v a counterexample, and
     completing it with min-index kind_x choices gives the first of them.
 
-    Both paradigms' subtrees depend only on ``SearchState.key()``, so a
-    state whose key was walked before is not walked again.  A key never
-    recurs inside its own subtree, whose unvisited masks are smaller, so
-    a key met again roots a subtree already walked to the end without a
-    counterexample.  ``cap`` bounds the distinct keys walked; the walk
+    Each kind's candidates, here and below, depend only on its state key
+    (``searches._STEPS``), and either key fixes the unvisited vertices, so
+    states with equal pairs (kind_x's key, kind_y's key) root identical
+    walk subtrees, and a pair walked before is not walked again.  A pair
+    never recurs inside its own subtree, whose unvisited sets are smaller,
+    so a pair met again roots a subtree already walked to the end without
+    a counterexample.  ``cap`` bounds the distinct pairs walked; the walk
     stops before the next one, and then its verdict is not established.
     """
     if cap <= 0:
@@ -74,29 +77,35 @@ def _first_outside(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
     n = g.n
     if n == 0:
         return None, False
+    adj = g.adj
+    step_x = _STEPS[kind_x]
+    step_y = _STEPS[kind_y]
     root = SearchState(g)
-    walked = {root.key()}
-    # one frame per depth: a state, kind_x's candidates not yet tried there
-    # and kind_y's candidates
-    stack = [(root, candidate_mask(kind_x, root), candidate_mask(kind_y, root))]
+    key_x, key_y = _root_key(kind_x, n), _root_key(kind_y, n)
+    walked = {(key_x, key_y)}
+    # one frame per depth: a state, kind_x's candidates not yet tried there,
+    # kind_y's candidates and the two keys
+    stack = [(root, candidate_mask(kind_x, root, key_x),
+              candidate_mask(kind_y, root, key_y), key_x, key_y)]
     while stack:
-        state, rest, allowed = stack.pop()
+        state, rest, allowed, key_x, key_y = stack.pop()
         low = rest & -rest
         if rest != low:
-            stack.append((state, rest ^ low, allowed))
-        state = state.extend(low.bit_length() - 1)
+            stack.append((state, rest ^ low, allowed, key_x, key_y))
+        v = low.bit_length() - 1
+        state = state.extend(v)
         if not allowed & low:
-            return complete_prefix(kind_x, state), False
+            return complete_prefix(kind_x, state, step_x(adj, key_x, v)), False
         if len(state.visited) == n:
             continue
-        key = state.key()
-        if key in walked:
+        pair = key_x, key_y = step_x(adj, key_x, v), step_y(adj, key_y, v)
+        if pair in walked:
             continue
         if len(walked) >= cap:
             return None, True
-        walked.add(key)
-        stack.append((state, candidate_mask(kind_x, state),
-                      candidate_mask(kind_y, state)))
+        walked.add(pair)
+        stack.append((state, candidate_mask(kind_x, state, key_x),
+                      candidate_mask(kind_y, state, key_y), key_x, key_y))
     return None, False
 
 

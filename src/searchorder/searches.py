@@ -1,10 +1,13 @@
 """Executable search paradigms and exhaustive enumeration of their orderings.
 
-Each paradigm is realized by a per-step candidate rule; an ordering is
-produced by repeatedly picking one candidate.  The rules here find each
-candidate set with a few bitmask operations and are *not* trusted: the
-test suite checks them exhaustively against the point-condition
-validators and against a reference that compares labels.
+Each paradigm is realized once, by a state key stepped from parent to
+child (``_STEPS``) and a candidate rule that reads it; an ordering is
+produced by repeatedly picking one candidate.  BFS, DFS, LexBFS and LexDFS
+keep an ordered partition of the unvisited vertices whose first fringe
+class is the candidate set, as in partition refinement; Generic, MNS and
+MCS keep the visited mask and read the fringe.  The rules are *not*
+trusted: the test suite checks them exhaustively against the
+point-condition validators and against a reference that compares labels.
 """
 
 from __future__ import annotations
@@ -25,6 +28,10 @@ class SearchKind(Enum):
     LEXDFS = "lexdfs"
     MNS = "mns"
     MCS = "mcs"
+
+    # Members are singletons compared by identity, so the identity hash
+    # agrees with equality; Enum's own hashes the name in Python code.
+    __hash__ = object.__hash__
 
     @classmethod
     def from_name(cls, name: str) -> "SearchKind":
@@ -69,111 +76,6 @@ class SearchState:
         state.visited_mask = self.visited_mask | 1 << v
         state.reached_mask = self.reached_mask | self.graph.adj[v]
         return state
-
-    def key(self) -> tuple[int, ...]:
-        """The unvisited mask, then the unvisited neighbourhood of each
-        visited vertex that still has one, in visiting order.
-
-        Every paradigm's candidates, at this state and after any extension
-        of it, depend only on this key, so states with equal keys root
-        identical search trees.  Generic, MNS and MCS read only the sets or
-        counts of visited neighbours of unvisited vertices.  BFS, DFS,
-        LexBFS and LexDFS read only the relative order of the visiting
-        positions of those neighbours.  A visited vertex without unvisited
-        neighbours is nobody's visited neighbour now or later, so it can
-        never matter again.
-
-        The inclusion walk in ``equivalence`` relies on this: it expands
-        each key once.  ``enumerate_orderings`` uses each kind's own, coarser
-        key instead (``_STEPS``).
-        """
-        rest = ~self.visited_mask
-        adj = self.graph.adj
-        return (rest, *[a for u in self.visited if (a := adj[u] & rest)])
-
-
-# Candidate rules: each maps (adjacency masks, visited sequence, visited
-# mask, fringe) to the mask of permitted next vertices; the fringe is the
-# unvisited vertices with a visited neighbour.
-
-def _generic(adj, visited, mask, fringe):
-    return fringe
-
-
-def _first_active(adj, order, fringe):
-    """The unvisited neighbourhood of the first vertex in ``order`` that
-    still has one: the head of BFS's queue, or the top of DFS's stack."""
-    for u in order:
-        if adj[u] & fringe:
-            return adj[u] & fringe
-    return 0
-
-
-def _bfs(adj, visited, mask, fringe):
-    return _first_active(adj, visited, fringe)
-
-
-def _dfs(adj, visited, mask, fringe):
-    return _first_active(adj, reversed(visited), fringe)
-
-
-def _refine(adj, order, fringe):
-    """Partition refinement: each vertex of ``order`` in turn keeps its
-    neighbours among the best so far, unless it has none there."""
-    best = fringe
-    for u in order:
-        if best & (best - 1) == 0:
-            break
-        if adj[u] & best:
-            best &= adj[u]
-    return best
-
-
-def _lexbfs(adj, visited, mask, fringe):
-    return _refine(adj, visited, fringe)
-
-
-def _lexdfs(adj, visited, mask, fringe):
-    return _refine(adj, reversed(visited), fringe)
-
-
-def _mns(adj, visited, mask, fringe):
-    """Fringe vertices grouped by visited neighbourhood; the groups whose
-    neighbourhood is not strictly inside another one."""
-    groups: dict[int, int] = {}
-    for v in bits(fringe):
-        label = adj[v] & mask
-        groups[label] = groups.get(label, 0) | 1 << v
-    best = 0
-    for label, group in groups.items():
-        if not any(label != other and label | other == other
-                   for other in groups):
-            best |= group
-    return best
-
-
-def _mcs(adj, visited, mask, fringe):
-    """Fringe vertices with the most visited neighbours."""
-    best = 0
-    top = -1
-    for v in bits(fringe):
-        count = (adj[v] & mask).bit_count()
-        if count > top:
-            best, top = 1 << v, count
-        elif count == top:
-            best |= 1 << v
-    return best
-
-
-_RULES = {
-    SearchKind.GENERIC: _generic,
-    SearchKind.BFS: _bfs,
-    SearchKind.DFS: _dfs,
-    SearchKind.LEXBFS: _lexbfs,
-    SearchKind.LEXDFS: _lexdfs,
-    SearchKind.MNS: _mns,
-    SearchKind.MCS: _mcs,
-}
 
 
 # State keys, one per kind: what the kind's candidates read of a state, at
@@ -228,7 +130,8 @@ def _split(adj, key, v, ins, outs):
 
 def _lexbfs_step(adj, key, v):
     """Label classes of the unvisited vertices, best label first: v splits
-    each class into its part in N(v), then the rest."""
+    each class into its part in N(v), then the rest.  LexBFS takes the
+    first class."""
     parts = []
     _split(adj, key, v, parts, parts)
     return tuple(parts)
@@ -261,17 +164,76 @@ def _root_key(kind: SearchKind, n: int):
     return 0 if _STEPS[kind] is _visit else ((1 << n) - 1,)
 
 
-def candidate_mask(kind: SearchKind, state: SearchState) -> int:
+# Candidate rules: each maps (adjacency masks, key, fringe) to the mask of
+# permitted next vertices; the fringe is the unvisited vertices with a
+# visited neighbour.  A partition key holds its kind's candidates as its
+# first fringe class; Generic, MNS and MCS read the fringe and the visited
+# mask, which is their key.
+
+def _generic(adj, key, fringe):
+    return fringe
+
+
+def _first_fringe_class(adj, key, fringe):
+    """BFS and DFS: the class after the unreached or unvisited vertices."""
+    return key[1] if len(key) > 1 else 0
+
+
+def _first_label_class(adj, key, fringe):
+    """LexBFS and LexDFS: the best label."""
+    return key[0] if key else 0
+
+
+def _mns(adj, mask, fringe):
+    """Fringe vertices grouped by visited neighbourhood; the groups whose
+    neighbourhood is not strictly inside another one."""
+    groups: dict[int, int] = {}
+    for v in bits(fringe):
+        label = adj[v] & mask
+        groups[label] = groups.get(label, 0) | 1 << v
+    best = 0
+    for label, group in groups.items():
+        if not any(label != other and label | other == other
+                   for other in groups):
+            best |= group
+    return best
+
+
+def _mcs(adj, mask, fringe):
+    """Fringe vertices with the most visited neighbours."""
+    best = 0
+    top = -1
+    for v in bits(fringe):
+        count = (adj[v] & mask).bit_count()
+        if count > top:
+            best, top = 1 << v, count
+        elif count == top:
+            best |= 1 << v
+    return best
+
+
+_RULES = {
+    SearchKind.GENERIC: _generic,
+    SearchKind.BFS: _first_fringe_class,
+    SearchKind.DFS: _first_fringe_class,
+    SearchKind.LEXBFS: _first_label_class,
+    SearchKind.LEXDFS: _first_label_class,
+    SearchKind.MNS: _mns,
+    SearchKind.MCS: _mcs,
+}
+
+
+def candidate_mask(kind: SearchKind, state: SearchState, key) -> int:
     """The exact set of vertices the paradigm permits as the next choice
-    from ``state``, as a bitmask; 0 once every vertex is visited."""
+    from ``state``, whose key for ``kind`` is ``key``, as a bitmask; 0 once
+    every vertex is visited."""
     g = state.graph
     if not state.visited_mask:
         return (1 << g.n) - 1
     rule = _RULES.get(kind)
     if rule is None:
         raise ValueError(f"unhandled search kind {kind}")
-    mask = state.visited_mask
-    return rule(g.adj, state.visited, mask, state.reached_mask & ~mask)
+    return rule(g.adj, key, state.reached_mask & ~state.visited_mask)
 
 
 # -- tie breaking ------------------------------------------------------
@@ -298,15 +260,19 @@ class TieBreak:
         return random.Random(f"{self.seed}:{step}:{ordered}").choice(ordered)
 
 
-def complete_prefix(kind: SearchKind, state: SearchState,
+def complete_prefix(kind: SearchKind, state: SearchState, key,
                     tiebreak: TieBreak = TieBreak()) -> tuple[int, ...]:
-    """Extend the visited prefix to a complete ordering, resolving every
-    tie with the given tie-break."""
-    n = state.graph.n
-    while len(state.visited) < n:
-        state = state.extend(tiebreak.pick(candidate_mask(kind, state),
-                                           len(state.visited)))
-    return state.visited
+    """Extend the visited prefix, whose key for ``kind`` is ``key``, to a
+    complete ordering, resolving every tie with the given tie-break."""
+    g = state.graph
+    step = _STEPS[kind]
+    while len(state.visited) < g.n - 1:
+        v = tiebreak.pick(candidate_mask(kind, state, key), len(state.visited))
+        state = state.extend(v)
+        key = step(g.adj, key, v)
+    # one vertex left at most: every kind's only candidate
+    last = ((1 << g.n) - 1) ^ state.visited_mask
+    return state.visited + (last.bit_length() - 1,) if last else state.visited
 
 
 def run_search(g: Graph, kind: SearchKind, tiebreak: TieBreak = TieBreak(),
@@ -318,17 +284,20 @@ def run_search(g: Graph, kind: SearchKind, tiebreak: TieBreak = TieBreak(),
     if start is not None and not 0 <= start < g.n:
         raise ValueError(f"start vertex {start} out of range")
     state = SearchState(g)
+    key = _root_key(kind, g.n)
     if start is not None:
         state = state.extend(start)
-    return complete_prefix(kind, state, tiebreak)
+        key = _STEPS[kind](g.adj, key, start)
+    return complete_prefix(kind, state, key, tiebreak)
 
 
 # -- exhaustive enumeration --------------------------------------------
 
 DEFAULT_CAP = 10_000_000  # orderings an enumeration returns
-# Search states (distinct ``SearchState.key()``s) an inclusion walk expands.
-# No graph with n <= 8 has more than 69,281 (the proper prefixes of 8!
-# orderings); at n = 24 a million states take about 30 s and 0.5 GB.
+# Search states an inclusion walk expands: distinct pairs of the two kinds'
+# keys.  No graph with n <= 8 has more than 69,281 (the proper prefixes of
+# 8! orderings); on a G(24, 0.15) a million take 14-16 s and 0.2-0.6 GB
+# (Generic or DFS within itself, 2-vCPU VM).
 DEFAULT_WALK_CAP = 1_000_000
 
 
@@ -370,10 +339,11 @@ def enumerate_orderings(g: Graph, kind: SearchKind,
     # first state walked with that key
     walked: dict[int | tuple[int, ...], tuple[int, int]] = {}
     root = SearchState(g)
+    key = _root_key(kind, n)
     # one frame per depth: a state, its candidates not yet tried, its key
     # and where its orderings start in ``found``; popped with no candidates
     # left, its subtree is done
-    stack = [(root, candidate_mask(kind, root), _root_key(kind, n), 0)]
+    stack = [(root, candidate_mask(kind, root, key), key, 0)]
     while stack:
         state, rest, key, first = stack.pop()
         if not rest:
@@ -396,7 +366,8 @@ def enumerate_orderings(g: Graph, kind: SearchKind,
         span = walked.get(key)
         if span is None:
             state = state.extend(v)
-            stack.append((state, candidate_mask(kind, state), key, len(found)))
+            stack.append((state, candidate_mask(kind, state, key), key,
+                          len(found)))
             continue
         # an equal key leaves the same vertices unvisited, so the span's
         # orderings complete this prefix from the same depth on

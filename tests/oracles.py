@@ -5,10 +5,10 @@ classic data-structure realization of a paradigm (FIFO queue, stack,
 partition refinement, label sets, counters).  They deliberately share no
 code with the package's point-condition validators or candidate-rule
 executors.  ``reference_candidates`` is the label-comparing reference for
-the package's bitmask candidate rules, ``reference_point_condition`` the
-triple-scan reference for its pair-scan point-condition validator, and
-``first_induced_small`` the brute-force reference for its 4-vertex
-pattern detector.
+the candidates the package reads from its per-kind state keys,
+``reference_point_condition`` the triple-scan reference for its pair-scan
+point-condition validator, and ``first_induced_small`` the brute-force
+reference for its 4-vertex pattern detector.
 """
 
 from itertools import combinations, permutations

@@ -22,7 +22,7 @@ from searchorder import (
 from searchorder import equivalence
 from searchorder.equivalence import (_THEOREMS, _first_outside,
                                      _one_direction)
-from searchorder.searches import InconsistentStateError, SearchState
+from searchorder.searches import _STEPS, InconsistentStateError, _root_key
 from searchorder.validators import PointViolation
 from smallgraphs import (
     MNS_NOT_MCS_BROKEN_EXAMPLE,
@@ -306,18 +306,30 @@ def test_enumeration_stops_at_every_cap(graphs_upto_5):
                     (orderings[:cap], m > cap), (g, kx, cap)
 
 
+def _key_pairs(g, orderings, kx, ky):
+    """The distinct (kx key, ky key) pairs among the proper prefixes of
+    ``orderings``, each key stepped along its ordering."""
+    pairs = set()
+    for o in orderings:
+        pair = (_root_key(kx, g.n), _root_key(ky, g.n))
+        for v in o:
+            pairs.add(pair)
+            pair = (_STEPS[kx](g.adj, pair[0], v),
+                    _STEPS[ky](g.adj, pair[1], v))
+    return pairs
+
+
 def test_walk_cap_is_a_threshold_in_search_states(graphs_upto_5):
-    """With K the distinct keys among the proper prefixes of the kind_x
-    orderings, counted from the enumeration, there is a T <= K such that
-    every cap below T stops the walk unknown and every cap from T to K + 1
-    gives the first kind_x ordering that kind_y's validator rejects."""
+    """With K the distinct key pairs among the proper prefixes of the
+    kind_x orderings, counted from the enumeration, there is a T <= K such
+    that every cap below T stops the walk unknown and every cap from T to
+    K + 1 gives the first kind_x ordering that kind_y's validator
+    rejects."""
     for g in graphs_upto_5:
         for kx in SearchKind:
             orderings = enumerate_orderings(g, kx).orderings
-            keys = {SearchState(g, o[:i]).key()
-                    for o in orderings for i in range(g.n)}
-            k = len(keys)
             for ky in SearchKind:
+                k = len(_key_pairs(g, orderings, kx, ky))
                 first = next((o for o in orderings
                               if not is_search_ordering(g, o, ky)[0]), None)
                 got = [_first_outside(g, kx, ky, cap)
@@ -346,6 +358,19 @@ def test_clique_walks_each_search_state_once(monkeypatch):
     for theorem in (THEOREM_A, THEOREM_B, THEOREM_C, COROLLARY_A5A6):
         assert check_theorem(complete(7), theorem).consistent
     assert 0 < calls <= 5_000
+
+
+def test_key_pairs_settle_what_the_full_key_could_not():
+    """The walk merges prefixes on which both kinds' keys agree, though the
+    visited neighbourhoods differ: K6,6's Generic orderings lie within its
+    MNS orderings, and K14 - e's MNS orderings within its LexDFS ones, and
+    both are settled at these caps."""
+    k14_minus_e = Graph(14, complete(14).edges()[1:])
+    for g, kx, ky, cap in (
+            (complete_bipartite(6, 6), SearchKind.GENERIC, SearchKind.MNS,
+             5_000),
+            (k14_minus_e, SearchKind.MNS, SearchKind.LEXDFS, 15_000)):
+        assert orderings_subset(g, kx, ky, cap=cap).verdict is True, (kx, ky)
 
 
 def test_validator_accepting_a_rejected_ordering_raises(monkeypatch):

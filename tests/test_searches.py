@@ -27,8 +27,16 @@ from strategies import random_connected_graphs
 ALL_KINDS = list(SearchKind)
 
 
+def kind_key(kind, state):
+    """The kind's key of ``state``, stepped along its visited prefix."""
+    key = _root_key(kind, state.graph.n)
+    for v in state.visited:
+        key = _STEPS[kind](state.graph.adj, key, v)
+    return key
+
+
 def candidates(kind, state):
-    return set(bits(candidate_mask(kind, state)))
+    return set(bits(candidate_mask(kind, state, kind_key(kind, state))))
 
 
 class TestCandidates:
@@ -82,39 +90,6 @@ class TestCandidates:
             SearchState(g, (0, 0))
 
 
-def _generic_prefixes(g):
-    """Every incomplete state a generic search of g can reach, the root
-    included."""
-    stack = [SearchState(g)]
-    while stack:
-        state = stack.pop()
-        if len(state.visited) < g.n:
-            yield state
-            stack.extend(state.extend(v)
-                         for v in candidates(SearchKind.GENERIC, state))
-
-
-def test_equal_keys_give_equal_candidates(graphs_upto_6):
-    """The memo of the inclusion walk relies on this: states with equal
-    keys offer equal candidates for every kind, and so do their equal
-    extensions."""
-    compared = 0
-    for g in graphs_upto_6:
-        first = {}
-        for state in _generic_prefixes(g):
-            seen = first.setdefault(state.key(), state)
-            if seen is state:
-                continue
-            compared += 1
-            for kind in ALL_KINDS:
-                assert candidates(kind, state) == \
-                    candidates(kind, seen), (g, state.visited, seen.visited)
-            fringe = state.reached_mask & ~state.visited_mask
-            for v in bits(fringe):
-                assert state.extend(v).key() == seen.extend(v).key()
-    assert compared > 10_000
-
-
 def _keyed_prefixes(g):
     """Every incomplete state a generic search of g can reach, with each
     kind's key carried along its prefix."""
@@ -124,7 +99,8 @@ def _keyed_prefixes(g):
         state, keys = stack.pop()
         if len(state.visited) < g.n:
             yield state, keys
-            for v in candidates(SearchKind.GENERIC, state):
+            generic = keys[SearchKind.GENERIC]
+            for v in bits(candidate_mask(SearchKind.GENERIC, state, generic)):
                 stack.append((state.extend(v),
                               {kind: _STEPS[kind](g.adj, key, v)
                                for kind, key in keys.items()}))
@@ -139,23 +115,21 @@ def _assert_partition(parts, whole):
 
 
 def test_kind_keys_are_sound(graphs_upto_6):
-    """enumerate_orderings relies on this: states with equal keys for a kind
-    leave the same vertices unvisited and offer equal candidates for that
-    kind.  Their equal extensions get equal keys, since a step reads only
-    the key, and the walk compares those extensions in turn.  A partition
-    key's first class is the kind's candidate set, and each key is a
-    function of the full ``SearchState.key()``, so it never shares less."""
+    """enumerate_orderings and the inclusion walk rely on this: states with
+    equal keys for a kind leave the same vertices unvisited and offer equal
+    candidates for that kind.  Their equal extensions get equal keys, since
+    a step reads only the key, and the walk compares those extensions in
+    turn.  A partition key's first fringe class is the kind's candidate
+    set."""
     compared = 0
     for g in graphs_upto_6:
         everyone = (1 << g.n) - 1
         first = {}
-        by_full_key = {}
         for state, keys in _keyed_prefixes(g):
-            assert by_full_key.setdefault(state.key(), keys) == keys
             unvisited = everyone & ~state.visited_mask
             fringe = state.reached_mask & unvisited
             for kind, key in keys.items():
-                got = candidate_mask(kind, state)
+                got = candidate_mask(kind, state, key)
                 if not isinstance(key, tuple):  # Generic, MNS and MCS
                     assert key == state.visited_mask
                 elif kind in (SearchKind.BFS, SearchKind.DFS):
@@ -170,21 +144,21 @@ def test_kind_keys_are_sound(graphs_upto_6):
                 if seen is state:
                     continue
                 compared += 1
-                assert got == candidate_mask(kind, seen), \
+                assert got == candidate_mask(kind, seen, key), \
                     (g, kind, state.visited, seen.visited)
     assert compared == 392_230
 
 
 def test_candidates_match_reference_rules(graphs_upto_6):
-    """The bitmask rules give the label-comparing reference's sets for every
-    kind at every incomplete prefix of a generic search, on every connected
-    graph with n <= 6."""
+    """The candidates read from each kind's key are the label-comparing
+    reference's sets for every kind at every incomplete prefix of a generic
+    search, on every connected graph with n <= 6."""
     compared = 0
     for g in graphs_upto_6:
-        for state in _generic_prefixes(g):
+        for state, keys in _keyed_prefixes(g):
             compared += 1
-            for kind in ALL_KINDS:
-                assert candidates(kind, state) == \
+            for kind, key in keys.items():
+                assert set(bits(candidate_mask(kind, state, key))) == \
                     reference_candidates(g, kind, state.visited), \
                     (g, kind, state.visited)
     assert compared == 63_162
@@ -412,14 +386,15 @@ def _unshared_orderings(g, kind, cap):
     """Depth-first over candidate_mask in ascending order, no memo, stopped
     once ``cap + 1`` orderings are found."""
     found = []
-    stack = [SearchState(g)]
+    stack = [(SearchState(g), _root_key(kind, g.n))]
     while stack and len(found) <= cap:
-        state = stack.pop()
+        state, key = stack.pop()
         if len(state.visited) == g.n:
             found.append(state.visited)
             continue
-        stack.extend(state.extend(v) for v in
-                     sorted(bits(candidate_mask(kind, state)), reverse=True))
+        stack.extend((state.extend(v), _STEPS[kind](g.adj, key, v)) for v in
+                     sorted(bits(candidate_mask(kind, state, key)),
+                            reverse=True))
     return tuple(found[:cap]), len(found) > cap
 
 
