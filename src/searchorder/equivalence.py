@@ -75,8 +75,8 @@ def _first_outside(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
     if cap <= 0:
         raise ValueError("cap must be positive")
     n = g.n
-    if n == 0:
-        return None, False
+    if n == 0 or kind_x is kind_y:
+        return None, False  # a set lies within itself; nothing to walk
     adj = g.adj
     step_x = _STEPS[kind_x]
     step_y = _STEPS[kind_y]

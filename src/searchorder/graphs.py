@@ -229,11 +229,13 @@ def parse_edge_list(text: str) -> Graph:
 
 # -- structural helpers ------------------------------------------------
 
-def component_mask(g: Graph, start: int, within: int = -1) -> int:
-    """Bitmask of the vertices reachable from ``start`` without leaving the
-    vertex set ``within`` (a bitmask that contains ``start``)."""
+def balls(g: Graph, start: int, within: int = -1) -> Iterator[int]:
+    """Breadth-first layers from ``start``: yield the vertices of ``within``
+    (a bitmask that contains ``start``) at distance at most 0, 1, 2, ...
+    from ``start`` inside ``within``, until the ball stops growing."""
     seen = frontier = 1 << start
-    while frontier:
+    yield seen
+    while True:
         nxt = 0
         m = frontier
         while m:
@@ -241,7 +243,18 @@ def component_mask(g: Graph, start: int, within: int = -1) -> int:
             nxt |= g.adj[low.bit_length() - 1]
             m ^= low
         frontier = nxt & within & ~seen
+        if not frontier:
+            return
         seen |= frontier
+        yield seen
+
+
+def component_mask(g: Graph, start: int, within: int = -1) -> int:
+    """Bitmask of the vertices reachable from ``start`` without leaving the
+    vertex set ``within`` (a bitmask that contains ``start``): the last of
+    its ``balls``."""
+    for seen in balls(g, start, within):
+        pass
     return seen
 
 

@@ -1,18 +1,22 @@
 """Forbidden-subgraph detectors and structural class recognition.
 
-Detectors enumerate vertex subsets directly (trivial at n <= 12 and
-obviously correct); the structural recognizers are independent of them,
-and the test suite cross-checks the two paths exhaustively.
+The 4-vertex detectors scan the 4-subsets in order, O(n^4) when the
+pattern is absent.  The k-pan detector finds the shortest pan cycle k*
+by breadth-first search, then lists only the chordless cycles that can
+still close at length k*, so it stays fast where listing every chordless
+cycle is exponential, as on grids.  The structural recognizers are
+independent of the detectors, and the test suite cross-checks the two
+paths exhaustively.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from typing import Optional
 
-from .graphs import (Graph, DisconnectedGraphError, bits, component_mask,
-                     is_connected)
+from .graphs import (Graph, DisconnectedGraphError, balls, bits,
+                     component_mask, is_connected)
 
 P4 = "P4"
 C4 = "C4"
@@ -82,55 +86,115 @@ def find_induced_small(g: Graph, pattern: str) -> Optional[PatternHit]:
     return None
 
 
-def _induced_cycles(g: Graph):
-    """Yield chordless cycles (length >= 3) as vertex tuples in cyclic order.
+def _shortest_pan_cycle(g: Graph) -> Optional[int]:
+    """The shortest cycle of any induced pan of g, or None if g has none.
 
-    Each cycle appears once: it starts at its smallest vertex and its
-    second vertex is smaller than its last.
+    A k-pan with pendant p on a is a chordless cycle through a that avoids
+    N[p] except at a.  Through a's neighbours b and c outside N[p], that
+    cycle is the triangle a, b, c if b ~ c; otherwise its shortest length
+    is 2 plus the distance from b to c over vertices outside N[a] and N[p]
+    (a shortest path is chordless, and its interior misses N(a)).
     """
     adj = g.adj
-    for s in range(g.n):
-        later = ~((2 << s) - 1)  # the vertices after s
-        stack = [((s,), 1 << s)]  # chordless paths from s, with their masks
-        while stack:
-            path, path_mask = stack.pop()
-            last = path[-1]
-            for w in bits(adj[last] & later & ~path_mask):
-                # w may touch the path only at `last`, plus s when closing
-                others = adj[w] & path_mask & ~(1 << last)
-                if others & ~(1 << s):
-                    continue  # chord to an interior path vertex
-                if others:
-                    # w closes the cycle; one orientation per cycle
-                    if path[1] < w:
-                        yield path + (w,)
-                    continue  # extending past w would leave the sw chord
-                stack.append((path + (w,), path_mask | 1 << w))
+    best = None
+    for a in range(g.n):
+        for p in bits(adj[a]):
+            ends = adj[a] & ~adj[p] & ~(1 << p)
+            inner = ~(adj[a] | adj[p])
+            for b in bits(ends):
+                far = ends & -(2 << b)  # the possible c > b
+                if not far:
+                    break
+                if adj[b] & far:
+                    return 3
+                # the ball of radius r around b closes cycles of length r + 3
+                for r, ball in enumerate(balls(g, b, inner | 1 << b)):
+                    if best is not None and r + 3 >= best:
+                        break
+                    if any(adj[c] & ball for c in bits(far)):
+                        best = r + 3
+                        break
+    return best
 
 
 def find_induced_pan(g: Graph) -> Optional[PatternHit]:
     """An induced k-pan (k >= 3), if one exists: a chordless cycle plus a
     vertex adjacent to exactly one cycle vertex.  Of all of them, it is
     the one with the shortest cycle, and among those the one whose
-    ``vertices`` tuple is lexicographically smallest."""
-    best = None
-    for cycle in _induced_cycles(g):
-        k = len(cycle)
-        cycle_mask = 0
-        for v in cycle:
-            cycle_mask |= 1 << v
-        for p in range(g.n):
-            if cycle_mask >> p & 1:
+    ``vertices`` tuple is lexicographically smallest.
+
+    Two steps.  First the shortest pan cycle k*, by at most one
+    breadth-first search per (a, p, b) of ``_shortest_pan_cycle``: about
+    m * maxdeg searches of O(n + m) each.  Then the chordless cycles of
+    length k*, each listed once (smallest vertex s first, second vertex
+    smaller than the last) by extending chordless paths from s over the
+    vertices after s, and each tried with every pendant.  A path is cut
+    as soon as it can no longer close at length k*: when its length plus
+    the next vertex's distance back to s exceeds k*.  Those distances
+    come from one search per s, stopped at depth k* // 2.  Only paths of
+    fewer than k* vertices are ever extended, so the listing is
+    polynomial for a fixed k*, though it can still grow exponentially
+    with k*.
+    """
+    k = _shortest_pan_cycle(g)
+    if k is None:
+        return None
+    adj = g.adj
+    best = None  # the smallest (rotated cycle + pendant) tuple so far
+    for s in range(g.n):
+        if best is not None and best[0] < s:
+            break  # every later cycle, and its attachment, lies past s
+        later = -(2 << s)
+        # radii[r]: the vertices within r of s, over s and the vertices
+        # after it.  A budget past them cuts nothing: either the path then
+        # holds fewer than k / 2 vertices, so the next one lies within its
+        # budget of s, or the last ball already holds all s can reach.
+        radii = list(islice(balls(g, s, later | 1 << s), k // 2 + 1))
+        path = [s]  # a chordless path from s
+        path_mask = 1 << s
+        stack = [adj[s] & later]  # per path vertex: the next vertices to try
+        while stack:
+            rest = stack[-1]
+            if not rest:
+                stack.pop()
+                path_mask ^= 1 << path.pop()
                 continue
-            touched = g.adj[p] & cycle_mask
-            if touched.bit_count() != 1:
-                continue
-            attach = touched.bit_length() - 1
-            i = cycle.index(attach)
-            rotated = cycle[i:] + cycle[:i]
-            hit = PatternHit(PAN, rotated + (p,), k=k)
-            if best is None or (hit.k, hit.vertices) < (best.k, best.vertices):
-                best = hit
+            low = rest & -rest
+            stack[-1] = rest ^ low
+            w = low.bit_length() - 1
+            # w may touch the path only at its end, plus s when closing
+            others = adj[w] & path_mask & ~(1 << path[-1])
+            if others & ~(1 << s):
+                continue  # chord to an interior path vertex
+            if others:
+                # w closes the cycle; one orientation per cycle, length k*
+                if len(path) + 1 == k and path[1] < w:
+                    best = _best_pendant(adj, (*path, w), path_mask | low, best)
+                continue  # extending past w would leave the sw chord
+            path.append(w)
+            path_mask |= low
+            budget = k - len(path)  # the most the next vertex may lie from s
+            stack.append(adj[w] & later & ~path_mask
+                         & (radii[budget] if budget < len(radii) else -1))
+    return PatternHit(PAN, best, k=k)
+
+
+def _best_pendant(adj: list[int], cycle: tuple[int, ...], cycle_mask: int,
+                  best: Optional[tuple[int, ...]]) -> Optional[tuple[int, ...]]:
+    """The smaller of ``best`` and the smallest tuple ``cycle`` gives: the
+    cycle rotated to start at a pendant's attachment vertex, then that
+    pendant, over every vertex adjacent to exactly one cycle vertex."""
+    near = 0
+    for v in cycle:
+        near |= adj[v]
+    for p in bits(near & ~cycle_mask):
+        touched = adj[p] & cycle_mask
+        if touched & (touched - 1):
+            continue  # p touches two cycle vertices
+        i = cycle.index(touched.bit_length() - 1)
+        hit = cycle[i:] + cycle[:i] + (p,)
+        if best is None or hit < best:
+            best = hit
     return best
 
 

@@ -7,14 +7,16 @@ code with the package's point-condition validators or candidate-rule
 executors.  ``reference_candidates`` is the label-comparing reference for
 the candidates the package reads from its per-kind state keys,
 ``reference_point_condition`` the triple-scan reference for its pair-scan
-point-condition validator, and ``first_induced_small`` the brute-force
-reference for its 4-vertex pattern detector.
+point-condition validator, and ``first_induced_small`` and
+``first_induced_pan`` the brute-force references for its 4-vertex and
+k-pan detectors; the latter lists every chordless cycle.
 """
 
 from itertools import combinations, permutations
 
-from searchorder import (C4, DIAMOND, P4, PAW, Graph, PatternHit, PointViolation,
-                         SearchKind)
+from searchorder import (C4, DIAMOND, P4, PAN, PAW, Graph, PatternHit,
+                         PointViolation, SearchKind)
+from searchorder.graphs import bits
 from smallgraphs import cycle, diamond, path, paw
 
 
@@ -276,3 +278,55 @@ def first_induced_small(g: Graph, pattern: str):
                    for i, j in combinations(range(4), 2)):
                 return PatternHit(pattern, mapped)
     return None
+
+
+def _induced_cycles(g: Graph):
+    """Yield chordless cycles (length >= 3) as vertex tuples in cyclic order.
+
+    Each cycle appears once: it starts at its smallest vertex and its
+    second vertex is smaller than its last.
+    """
+    adj = g.adj
+    for s in range(g.n):
+        later = ~((2 << s) - 1)  # the vertices after s
+        stack = [((s,), 1 << s)]  # chordless paths from s, with their masks
+        while stack:
+            path, path_mask = stack.pop()
+            last = path[-1]
+            for w in bits(adj[last] & later & ~path_mask):
+                # w may touch the path only at `last`, plus s when closing
+                others = adj[w] & path_mask & ~(1 << last)
+                if others & ~(1 << s):
+                    continue  # chord to an interior path vertex
+                if others:
+                    # w closes the cycle; one orientation per cycle
+                    if path[1] < w:
+                        yield path + (w,)
+                    continue  # extending past w would leave the sw chord
+                stack.append((path + (w,), path_mask | 1 << w))
+
+
+def first_induced_pan(g: Graph):
+    """The k-pan with the shortest cycle, and among those the smallest
+    vertex tuple (cycle from the attachment vertex, then the pendant):
+    every chordless cycle is listed, and every vertex outside it that
+    touches exactly one cycle vertex is tried as its pendant."""
+    best = None
+    for cycle in _induced_cycles(g):
+        k = len(cycle)
+        cycle_mask = 0
+        for v in cycle:
+            cycle_mask |= 1 << v
+        for p in range(g.n):
+            if cycle_mask >> p & 1:
+                continue
+            touched = g.adj[p] & cycle_mask
+            if touched.bit_count() != 1:
+                continue
+            attach = touched.bit_length() - 1
+            i = cycle.index(attach)
+            rotated = cycle[i:] + cycle[:i]
+            hit = PatternHit(PAN, rotated + (p,), k=k)
+            if best is None or (hit.k, hit.vertices) < (best.k, best.vertices):
+                best = hit
+    return best

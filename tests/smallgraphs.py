@@ -19,6 +19,14 @@ def complete(n: int) -> Graph:
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
+def grid(rows: int, cols: int) -> Graph:
+    """Vertex r * cols + c at row r and column c, joined to its right and
+    lower neighbours."""
+    return Graph(rows * cols,
+                 [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
+                 + [(v, v + cols) for v in range((rows - 1) * cols)])
+
+
 def star(leaves: int) -> Graph:
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 

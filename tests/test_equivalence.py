@@ -30,6 +30,7 @@ from smallgraphs import (
     complete,
     complete_bipartite,
     cycle,
+    grid,
     pan,
     path,
     paw,
@@ -75,6 +76,15 @@ class TestOrderingsSubset:
         assert is_search_ordering(g, report.witness_ordering, SearchKind.BFS)[0]
         assert not is_search_ordering(g, report.witness_ordering,
                                       SearchKind.DFS)[0]
+
+    def test_a_kind_lies_within_itself_without_a_walk(self):
+        """DFS within DFS holds by identity, even at cap 1 on the 8 x 8
+        grid, where a walk stops at that cap."""
+        g = grid(8, 8)
+        assert orderings_subset(g, SearchKind.DFS, SearchKind.GENERIC,
+                                cap=1).verdict is None
+        assert orderings_subset(g, SearchKind.DFS, SearchKind.DFS,
+                                cap=1).verdict is True
 
     def test_empty_graph_holds_vacuously(self):
         report = orderings_subset(Graph(0), SearchKind.GENERIC, SearchKind.DFS)

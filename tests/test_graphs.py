@@ -13,8 +13,8 @@ from searchorder import (
     parse_edge_list,
     parse_graph6,
 )
-from searchorder.graphs import (EDGE_LIST_MAX_VERTICES, bits, component_mask,
-                                require_connected)
+from searchorder.graphs import (EDGE_LIST_MAX_VERTICES, balls, bits,
+                                component_mask, require_connected)
 from searchorder.inventory import load_packaged_inventory
 from smallgraphs import complete, cycle, path
 from strategies import random_graphs
@@ -210,6 +210,11 @@ class TestConnectivity:
         assert component_mask(g, 4) == 0b11100
         assert component_mask(g, 2, within=0b01100) == 0b01100
         assert component_mask(g, 2, within=0b00100) == 0b00100
+
+    def test_balls_grow_one_layer_at_a_time(self):
+        assert list(balls(path(5), 2)) == [0b00100, 0b01110, 0b11111]
+        assert list(balls(path(5), 0, within=0b00111)) == [0b001, 0b011, 0b111]
+        assert list(balls(Graph(3, [(1, 2)]), 0)) == [0b001]
 
     def test_require_connected_raises(self):
         with pytest.raises(DisconnectedGraphError):

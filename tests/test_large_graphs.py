@@ -1,4 +1,5 @@
-"""Graphs deeper than Python's recursion limit.
+"""Graphs deeper than Python's recursion limit, or with too many
+chordless cycles to list.
 
 Every traversal that follows the input's size is a loop, so a path or a
 clique of a thousand vertices is walked like a small one.
@@ -6,12 +7,13 @@ clique of a thousand vertices is walked like a small one.
 
 import inspect
 import io
+import json
 import sys
 
 from searchorder import Graph, SearchKind, enumerate_orderings, orderings_subset
-from searchorder.cli import EXIT_TRUNCATED, main
+from searchorder.cli import EXIT_OK, EXIT_TRUNCATED, main
 from searchorder.patterns import PAN, PatternHit, find_induced_pan, recognize_structure
-from smallgraphs import complete, path
+from smallgraphs import complete, grid, path
 
 
 def test_enumeration_of_a_1200_vertex_path_truncates():
@@ -31,10 +33,10 @@ def test_a_1100_clique_is_trivially_perfect():
 
 
 def test_pan_search_runs_below_the_path_length_in_stack_depth():
-    """A 300-vertex path with the chord (0, 2), searched with room for
-    fewer than 300 more frames: a search recursing once per path vertex
+    """A 1,200-vertex path with the chord (0, 2), searched with room for
+    fewer than 1,200 more frames: a search recursing once per path vertex
     would fail here."""
-    g = Graph(300, path(300).edges() + [(0, 2)])
+    g = Graph(1200, path(1200).edges() + [(0, 2)])
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 100)
     try:
@@ -50,3 +52,20 @@ def test_cli_enumerates_a_1200_vertex_path_from_stdin(capsys, monkeypatch):
     code = main(["enumerate", "-", "--kind", "bfs", "--cap", "3"])
     assert code == EXIT_TRUNCATED
     assert "TRUNCATED" in capsys.readouterr().out
+
+
+def test_pan_search_on_the_8x8_grid():
+    """The grid holds more chordless cycles than the 65,772 of the 7 x 7
+    grid, an induced subgraph of it, but its shortest pan cycles have 4
+    vertices.  Vertex 0 lies only on the 4-cycle 0-1-9-8 and has no
+    pendant there; vertex 1 lies on it, with pendant 2, and on 1-2-10-9,
+    with pendant 0, and (1, 2, ...) is the smaller tuple."""
+    assert find_induced_pan(grid(8, 8)) == PatternHit(PAN, (1, 2, 10, 9, 0), k=4)
+
+
+def test_cli_classifies_the_8x8_grid(capsys, monkeypatch):
+    edges = "".join(f"{u} {v}\n" for u, v in grid(8, 8).edges())
+    monkeypatch.setattr("sys.stdin", io.StringIO(edges))
+    assert main(["classify", "-", "--json"]) == EXIT_OK
+    hit = json.loads(capsys.readouterr().out)["class_b_hit"]
+    assert (hit["pattern"], hit["k"]) == ("pan", 4)

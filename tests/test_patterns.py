@@ -1,7 +1,7 @@
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from searchorder import (
     C4,
@@ -22,7 +22,7 @@ from searchorder import (
 from searchorder.patterns import (FORBIDDEN, find_forbidden,
                                   is_complete_bipartite,
                                   is_complete_multipartite, is_forest)
-from oracles import SMALL_PATTERNS, first_induced_small
+from oracles import SMALL_PATTERNS, first_induced_pan, first_induced_small
 from smallgraphs import (
     complete,
     complete_bipartite,
@@ -129,6 +129,27 @@ class TestPanDetector:
         """A 4-cycle with pendants on 2 and 3 holds two 4-pans."""
         hit = find_induced_pan(parse_graph6("ElGO"))
         assert hit == PatternHit(PAN, (2, 3, 0, 1, 4), k=4)
+
+    def test_first_hit_on_the_inventory(self, graphs_upto_7):
+        """The whole hit, k and vertices, equals the one found over every
+        chordless cycle, on all 996 connected graphs with n <= 7.  They
+        hold shortest pan cycles of 3, 4, 5 and 6 vertices, and pan-free
+        graphs."""
+        ks = set()
+        for g in graphs_upto_7:
+            hit = find_induced_pan(g)
+            assert hit == first_induced_pan(g), g
+            ks.add(hit and hit.k)
+        assert ks == {None, 3, 4, 5, 6}
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.integers(8, 16), st.sampled_from((0.1, 0.15, 0.3, 0.6)),
+           st.randoms(use_true_random=False))
+    def test_first_hit_on_random_graphs(self, n, p, rng):
+        """G(n, p): sparse draws are often pan-free or have only long pan
+        cycles, dense ones have triangles with pendants."""
+        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        assert find_induced_pan(g) == first_induced_pan(g)
 
     def test_hit_shape(self):
         g = pan(5)
