@@ -10,9 +10,11 @@ the candidates the package reads from its per-kind state keys,
 point-condition validator, and ``first_induced_small`` and
 ``first_induced_pan`` the brute-force references for its 4-vertex and
 k-pan detectors; the latter lists every chordless cycle.
+``reference_canonical_key`` computes the inventory's canonical key by
+trying every relabeling inside the refined color classes.
 """
 
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from searchorder import (C4, DIAMOND, P4, PAN, PAW, Graph, PatternHit,
                          PointViolation, SearchKind)
@@ -330,3 +332,52 @@ def first_induced_pan(g: Graph):
             if best is None or (hit.k, hit.vertices) < (best.k, best.vertices):
                 best = hit
     return best
+
+
+def _reference_refined_colors(g: Graph) -> list[int]:
+    """Neighbor-color refinement seeded with degree and local triangle
+    count, repeated until a round changes no color."""
+    n = g.n
+    colors = []
+    for v in range(n):
+        triangles = sum((g.adj[v] & g.adj[u]).bit_count()
+                        for u in g.neighbors(v)) // 2
+        colors.append((g.degree(v), triangles))
+    ranks = {c: i for i, c in enumerate(sorted(set(colors)))}
+    colors = [ranks[c] for c in colors]
+    while True:
+        refined = [(colors[v], tuple(sorted(colors[u] for u in g.neighbors(v))))
+                   for v in range(n)]
+        ranks = {c: i for i, c in enumerate(sorted(set(refined)))}
+        new_colors = [ranks[c] for c in refined]
+        if new_colors == colors:
+            return colors
+        colors = new_colors
+
+
+def reference_canonical_key(g: Graph) -> tuple:
+    """The minimum upper-triangle bit pattern (edge pu < pv at bit
+    pu * n + pv) over every relabeling that places the refined color
+    classes, in color order, on consecutive blocks of positions: the
+    product of the permutations of each class is tried in full."""
+    n = g.n
+    if n <= 1:
+        return (n, 0)
+    colors = _reference_refined_colors(g)
+    classes: dict[int, list[int]] = {}
+    for v, c in enumerate(colors):
+        classes.setdefault(c, []).append(v)
+    ordered_classes = [classes[c] for c in sorted(classes)]
+    best = None
+    for perm_parts in product(*(permutations(cls) for cls in ordered_classes)):
+        old_order = [v for part in perm_parts for v in part]
+        pos = [0] * n
+        for new, old in enumerate(old_order):
+            pos[old] = new
+        key = 0
+        for u, v in g.edges():
+            pu, pv = sorted((pos[u], pos[v]))
+            key |= 1 << (pu * n + pv)
+        if best is None or key < best:
+            best = key
+    return (n, best)

@@ -48,6 +48,24 @@ def complete_multipartite(*parts: int) -> Graph:
     return Graph(n, edges)
 
 
+def hypercube(d: int) -> Graph:
+    """Vertices 0..2^d - 1, joined when they differ in one bit."""
+    return Graph(1 << d, [(v, v | 1 << i) for v in range(1 << d)
+                          for i in range(d) if not v >> i & 1])
+
+
+def petersen() -> Graph:
+    """Outer 5-cycle 0..4, spokes i-(i+5), inner pentagram on 5..9."""
+    return Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                 + [(i, i + 5) for i in range(5)]
+                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+
+
+def relabeled(g: Graph, perm) -> Graph:
+    """The graph with vertex v renamed perm[v]."""
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
 def pan(k: int) -> Graph:
     """k-cycle 0..k-1 plus pendant vertex k attached to vertex 0."""
     return Graph(k + 1, [(i, (i + 1) % k) for i in range(k)] + [(0, k)])

@@ -217,7 +217,7 @@ def test_criterion_7_hierarchy_inclusions(capsys, graphs_upto_7):
 
 def test_criterion_8_structural_cross_checks(capsys):
     graphs = [g for n in range(1, 9) for g in connected_graphs(n)]
-    assert len(graphs) == sum(CONNECTED_COUNTS.values())
+    assert len(graphs) == sum(CONNECTED_COUNTS[n] for n in range(1, 9))
     bad = 0
     for g in graphs:
         label = recognize_structure(g)

@@ -1,5 +1,5 @@
-"""Graphs deeper than Python's recursion limit, or with too many
-chordless cycles to list.
+"""Graphs deeper than Python's recursion limit, with too many chordless
+cycles to list, or with too many automorphisms to try one by one.
 
 Every traversal that follows the input's size is a loop, so a path or a
 clique of a thousand vertices is walked like a small one.
@@ -8,12 +8,17 @@ clique of a thousand vertices is walked like a small one.
 import inspect
 import io
 import json
+import random
 import sys
+
+import pytest
 
 from searchorder import Graph, SearchKind, enumerate_orderings, orderings_subset
 from searchorder.cli import EXIT_OK, EXIT_TRUNCATED, main
+from searchorder.inventory import canonical_key
 from searchorder.patterns import PAN, PatternHit, find_induced_pan, recognize_structure
-from smallgraphs import complete, grid, path
+from smallgraphs import (complete, complete_bipartite, cycle, grid, path,
+                         petersen, relabeled)
 
 
 def test_enumeration_of_a_1200_vertex_path_truncates():
@@ -69,3 +74,15 @@ def test_cli_classifies_the_8x8_grid(capsys, monkeypatch):
     assert main(["classify", "-", "--json"]) == EXIT_OK
     hit = json.loads(capsys.readouterr().out)["class_b_hit"]
     assert (hit["pattern"], hit["k"]) == ("pan", 4)
+
+
+@pytest.mark.parametrize("g", [complete(12), complete_bipartite(6, 6),
+                               petersen(), grid(5, 5), cycle(9)],
+                         ids=["K12", "K6,6", "Petersen", "5x5 grid", "C9"])
+def test_canonical_key_of_a_symmetric_graph_survives_relabeling(g):
+    """Their refined colors leave up to 12! relabelings, and every one
+    gives the same key; twin pruning and the row bound keep each key to
+    milliseconds."""
+    perm = list(range(g.n))
+    random.Random(g.n).shuffle(perm)
+    assert canonical_key(relabeled(g, perm)) == canonical_key(g)
