@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
-from .graphs import Graph, require_connected
+from .graphs import Graph, require_connected, twin_classes
 from .searches import (_STEPS, DEFAULT_WALK_CAP, InconsistentStateError,
                        SearchKind, SearchState, _root_key, candidate_mask,
                        complete_prefix)
@@ -51,6 +51,11 @@ class EquivalenceReport:
         }
 
 
+# the twin classes of the last graph walked: check_theorem walks one graph
+# up to ten times, and a scan checks every theorem on it in a row
+_twins = lru_cache(maxsize=1)(twin_classes)
+
+
 def _first_outside(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
                    cap: float) -> tuple[Optional[tuple[int, ...]], bool]:
     """The lexicographically first kind_x ordering of g that is not a kind_y
@@ -71,6 +76,16 @@ def _first_outside(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
     so a pair met again roots a subtree already walked to the end without
     a counterexample.  ``cap`` bounds the distinct pairs walked; the walk
     stops before the next one, and then its verdict is not established.
+
+    Twins are walked once.  If v < w are unvisited twins (N(v) - {w} =
+    N(w) - {v}, ``graphs.twin_classes``), swapping them is an automorphism
+    of g that fixes the prefix.  Every kind's orderings are closed under
+    automorphisms, so kind_y allows w iff it allows v, and the subtree
+    below prefix + w is the image of the one below prefix + v.  A
+    counterexample returns at once, so when the frame holding w is popped
+    again, v's subtree has held none, and neither does w's: taking v
+    drops its twins from the frame's remaining candidates.  The first
+    counterexample stays the same.
     """
     if cap <= 0:
         raise ValueError("cap must be positive")
@@ -87,12 +102,14 @@ def _first_outside(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
     # kind_y's candidates and the two keys
     stack = [(root, candidate_mask(kind_x, root, key_x),
               candidate_mask(kind_y, root, key_y), key_x, key_y)]
+    twins = _twins(adj)
     while stack:
         state, rest, allowed, key_x, key_y = stack.pop()
         low = rest & -rest
-        if rest != low:
-            stack.append((state, rest ^ low, allowed, key_x, key_y))
         v = low.bit_length() - 1
+        rest &= ~twins[v]  # v and its twins
+        if rest:
+            stack.append((state, rest, allowed, key_x, key_y))
         state = state.extend(v)
         if not allowed & low:
             return complete_prefix(kind_x, state, step_x(adj, key_x, v)), False

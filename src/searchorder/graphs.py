@@ -258,6 +258,26 @@ def component_mask(g: Graph, start: int, within: int = -1) -> int:
     return seen
 
 
+def twin_classes(adj: Sequence[int]) -> tuple[int, ...]:
+    """For each vertex v, the bitmask of v and its twins: the vertices w
+    with N(v) - {w} = N(w) - {v}, so that swapping v and w is an
+    automorphism.
+
+    A twin shares v's open neighbourhood (not adjacent to v) or its closed
+    one (adjacent).  No open neighbourhood N(u) equals a closed one N[x],
+    or x would be a neighbour of u and u would lie in N(u), so one table
+    groups both kinds, and being twins is an equivalence.
+    """
+    groups: dict[int, int] = {}
+    for v, mask in enumerate(adj):
+        bit = 1 << v
+        groups[mask] = groups.get(mask, 0) | bit
+        mask |= bit
+        groups[mask] = groups.get(mask, 0) | bit
+    return tuple([groups[mask] | groups[mask | 1 << v]
+                  for v, mask in enumerate(adj)])
+
+
 @lru_cache(maxsize=1)
 def is_connected(g: Graph) -> bool:
     """True iff every vertex is reachable from vertex 0 (vacuous for n <= 1).

@@ -15,7 +15,7 @@ from __future__ import annotations
 from functools import lru_cache
 from importlib import resources
 
-from .graphs import Graph, parse_graph6
+from .graphs import Graph, parse_graph6, twin_classes
 
 # number of connected graphs on n vertices up to isomorphism (n = 1..9,
 # OEIS A001349)
@@ -66,7 +66,9 @@ def canonical_key(g: Graph) -> tuple:
     placements with the least row are kept, ties included, so every
     relabeling that attains the minimum survives, up to one swap: of two
     unplaced twins (N(x) - {y} = N(y) - {x}) only the lower is tried, since
-    swapping them is an automorphism that fixes every placed vertex.
+    swapping them is an automorphism that fixes every placed vertex.  If
+    refinement leaves one vertex per class, there is one relabeling, and
+    its key is read off the edges.
     """
     n = g.n
     if n <= 1:
@@ -75,20 +77,19 @@ def canonical_key(g: Graph) -> tuple:
     vertices = range(n)
     nbrs = [[u for u in vertices if mask >> u & 1] for mask in adj]
     colors = _refined_colors(adj, nbrs)
+    if len(set(colors)) == n:  # v goes to position colors[v]
+        key = 0
+        for v, nbr in enumerate(nbrs):
+            pv = colors[v]
+            for u in nbr:
+                if colors[u] > pv:
+                    key |= 1 << (pv * n + colors[u])
+        return (n, key)
     blocks: list[list[int]] = [[] for _ in vertices]  # color -> its vertices
     for v, c in enumerate(colors):
         blocks[c].append(v)
     owners = sorted(colors)  # position -> the color of its block
-    # twins_below[v]: the twins of v with a smaller index; twins share
-    # either their open or their closed neighborhood
-    twins_below = [0] * n
-    open_seen: dict[int, int] = {}
-    closed_seen: dict[int, int] = {}
-    for v, mask in enumerate(adj):
-        closed = mask | 1 << v
-        twins_below[v] = open_seen.get(mask, 0) | closed_seen.get(closed, 0)
-        open_seen[mask] = open_seen.get(mask, 0) | 1 << v
-        closed_seen[closed] = closed_seen.get(closed, 0) | 1 << v
+    twins = twin_classes(adj)
     key = 0
     # each kept placement: its unplaced vertices, and for every vertex the
     # positions of its placed neighbors
@@ -99,7 +100,8 @@ def canonical_key(g: Graph) -> tuple:
         chosen = []
         for unplaced, rows in states:
             for x in block:
-                if not unplaced >> x & 1 or twins_below[x] & unplaced:
+                if (not unplaced >> x & 1
+                        or twins[x] & unplaced & ((1 << x) - 1)):
                     continue
                 row = rows[x]
                 if row < least:

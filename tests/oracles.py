@@ -11,7 +11,8 @@ point-condition validator, and ``first_induced_small`` and
 ``first_induced_pan`` the brute-force references for its 4-vertex and
 k-pan detectors; the latter lists every chordless cycle.
 ``reference_canonical_key`` computes the inventory's canonical key by
-trying every relabeling inside the refined color classes.
+trying every relabeling inside the refined color classes, and
+``reference_first_outside`` is the inclusion walk without twin pruning.
 """
 
 from itertools import combinations, permutations, product
@@ -19,6 +20,8 @@ from itertools import combinations, permutations, product
 from searchorder import (C4, DIAMOND, P4, PAN, PAW, Graph, PatternHit,
                          PointViolation, SearchKind)
 from searchorder.graphs import bits
+from searchorder.searches import (_STEPS, SearchState, _root_key,
+                                  candidate_mask, complete_prefix)
 from smallgraphs import cycle, diamond, path, paw
 
 
@@ -381,3 +384,41 @@ def reference_canonical_key(g: Graph) -> tuple:
         if best is None or key < best:
             best = key
     return (n, best)
+
+
+def reference_first_outside(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
+                            cap: float):
+    """The first kind_x ordering of g outside kind_y, or None, and whether
+    the walk stopped at the cap: ``equivalence._first_outside`` walking
+    every candidate, twins included, memoized on the pair of state keys."""
+    n = g.n
+    if n == 0 or kind_x is kind_y:
+        return None, False
+    adj = g.adj
+    step_x = _STEPS[kind_x]
+    step_y = _STEPS[kind_y]
+    root = SearchState(g)
+    key_x, key_y = _root_key(kind_x, n), _root_key(kind_y, n)
+    walked = {(key_x, key_y)}
+    stack = [(root, candidate_mask(kind_x, root, key_x),
+              candidate_mask(kind_y, root, key_y), key_x, key_y)]
+    while stack:
+        state, rest, allowed, key_x, key_y = stack.pop()
+        low = rest & -rest
+        if rest != low:
+            stack.append((state, rest ^ low, allowed, key_x, key_y))
+        v = low.bit_length() - 1
+        state = state.extend(v)
+        if not allowed & low:
+            return complete_prefix(kind_x, state, step_x(adj, key_x, v)), False
+        if len(state.visited) == n:
+            continue
+        pair = key_x, key_y = step_x(adj, key_x, v), step_y(adj, key_y, v)
+        if pair in walked:
+            continue
+        if len(walked) >= cap:
+            return None, True
+        walked.add(pair)
+        stack.append((state, candidate_mask(kind_x, state, key_x),
+                      candidate_mask(kind_y, state, key_y), key_x, key_y))
+    return None, False

@@ -1,4 +1,7 @@
 import json
+import math
+import random
+from itertools import combinations
 
 import pytest
 
@@ -22,13 +25,16 @@ from searchorder import (
 from searchorder import equivalence
 from searchorder.equivalence import (_THEOREMS, _first_outside,
                                      _one_direction)
-from searchorder.searches import _STEPS, InconsistentStateError, _root_key
+from searchorder.searches import (_STEPS, DEFAULT_WALK_CAP,
+                                  InconsistentStateError, _root_key)
 from searchorder.validators import PointViolation
+from oracles import reference_first_outside
 from smallgraphs import (
     MNS_NOT_MCS_BROKEN_EXAMPLE,
     MNS_NOT_MCS_EXAMPLES,
     complete,
     complete_bipartite,
+    complete_multipartite,
     cycle,
     grid,
     pan,
@@ -368,6 +374,70 @@ def test_clique_walks_each_search_state_once(monkeypatch):
     for theorem in (THEOREM_A, THEOREM_B, THEOREM_C, COROLLARY_A5A6):
         assert check_theorem(complete(7), theorem).consistent
     assert 0 < calls <= 5_000
+
+
+def test_walk_equals_the_unpruned_reference_up_to_6(graphs_upto_6):
+    """Twin pruning skips only subtrees that mirror one already walked, so
+    every ordered pair gives the unpruned walk's first counterexample."""
+    for g in graphs_upto_6:
+        for kx in SearchKind:
+            for ky in SearchKind:
+                assert _first_outside(g, kx, ky, math.inf) == \
+                    reference_first_outside(g, kx, ky, math.inf), (g, kx, ky)
+
+
+def _twin_rich_graphs(seed):
+    """Connected graphs with 8 to 11 vertices from four families: K_n - e,
+    complete multipartite, trivially perfect plus an edge, and G(n, p)
+    over a random spanning tree."""
+    rng = random.Random(seed)
+    n = rng.randint(8, 11)
+    e = rng.choice(list(combinations(range(n), 2)))
+    yield Graph(n, [f for f in combinations(range(n), 2) if f != e])
+    parts = [1] * rng.randint(2, 4)
+    for _ in range(n - len(parts)):
+        parts[rng.randrange(len(parts))] += 1
+    yield complete_multipartite(*parts)
+    # each vertex joined to every ancestor in a random rooted tree
+    parent = [None] + [rng.randrange(v) for v in range(1, n)]
+    edges = set()
+    for v in range(1, n):
+        u = parent[v]
+        while u is not None:
+            edges.add((u, v))
+            u = parent[u]
+    missing = [f for f in combinations(range(n), 2) if f not in edges]
+    if missing:
+        edges.add(rng.choice(missing))
+    yield Graph(n, sorted(edges))
+    p = rng.random()
+    yield Graph(n, [(rng.randrange(v), v) for v in range(1, n)]
+                + [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_no_settled_verdict_differs_on_twin_rich_graphs(seed):
+    """At the default cap the pruned walk walks no more key pairs than the
+    unpruned one, so whatever the reference settles, it settles the same."""
+    for g in _twin_rich_graphs(seed):
+        for kx in SearchKind:
+            for ky in SearchKind:
+                expected = reference_first_outside(g, kx, ky,
+                                                   DEFAULT_WALK_CAP)
+                if not expected[1]:
+                    assert _first_outside(g, kx, ky, DEFAULT_WALK_CAP) == \
+                        expected, (g, kx, ky)
+
+
+@pytest.mark.parametrize("n", [8, 12, 30])
+def test_clique_settles_every_pair_within_n_key_pairs(n):
+    """All of K_n's vertices are twins, so each frame walks one candidate
+    and a walk covers n - 1 key pairs; without twin pruning, Generic
+    within DFS walks one pair per nonempty proper visited set."""
+    g = complete(n)
+    for kx in SearchKind:
+        for ky in SearchKind:
+            assert _first_outside(g, kx, ky, n) == (None, False), (kx, ky)
 
 
 def test_key_pairs_settle_what_the_full_key_could_not():

@@ -14,7 +14,8 @@ from searchorder import (
     parse_graph6,
 )
 from searchorder.graphs import (EDGE_LIST_MAX_VERTICES, balls, bits,
-                                component_mask, require_connected)
+                                component_mask, require_connected,
+                                twin_classes)
 from searchorder.inventory import load_packaged_inventory
 from smallgraphs import complete, cycle, path
 from strategies import random_graphs
@@ -215,6 +216,19 @@ class TestConnectivity:
         assert list(balls(path(5), 2)) == [0b00100, 0b01110, 0b11111]
         assert list(balls(path(5), 0, within=0b00111)) == [0b001, 0b011, 0b111]
         assert list(balls(Graph(3, [(1, 2)]), 0)) == [0b001]
+
+    def test_twin_classes_follow_the_definition(self, graphs_upto_6):
+        """v's class holds v and every w with N(v) - {w} = N(w) - {v}, on
+        every connected graph with n <= 6 and its complement."""
+        for g in graphs_upto_6:
+            full = (1 << g.n) - 1
+            complement = tuple(full & ~mask & ~(1 << v)
+                               for v, mask in enumerate(g.adj))
+            for adj in (g.adj, complement):
+                assert twin_classes(adj) == tuple(
+                    sum(1 << w for w in range(g.n)
+                        if adj[v] & ~(1 << w) == adj[w] & ~(1 << v))
+                    for v in range(g.n)), g
 
     def test_require_connected_raises(self):
         with pytest.raises(DisconnectedGraphError):

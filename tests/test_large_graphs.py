@@ -1,5 +1,5 @@
 """Graphs deeper than Python's recursion limit, with too many chordless
-cycles to list, or with too many automorphisms to try one by one.
+cycles to list, or with too many automorphisms to try or walk one by one.
 
 Every traversal that follows the input's size is a loop, so a path or a
 clique of a thousand vertices is walked like a small one.
@@ -13,12 +13,13 @@ import sys
 
 import pytest
 
-from searchorder import Graph, SearchKind, enumerate_orderings, orderings_subset
+from searchorder import (THEOREM_C, THEOREMS, Graph, SearchKind, check_theorem,
+                         enumerate_orderings, orderings_subset)
 from searchorder.cli import EXIT_OK, EXIT_TRUNCATED, main
 from searchorder.inventory import canonical_key
 from searchorder.patterns import PAN, PatternHit, find_induced_pan, recognize_structure
 from smallgraphs import (complete, complete_bipartite, cycle, grid, path,
-                         petersen, relabeled)
+                         petersen, relabeled, star)
 
 
 def test_enumeration_of_a_1200_vertex_path_truncates():
@@ -86,3 +87,18 @@ def test_canonical_key_of_a_symmetric_graph_survives_relabeling(g):
     perm = list(range(g.n))
     random.Random(g.n).shuffle(perm)
     assert canonical_key(relabeled(g, perm)) == canonical_key(g)
+
+
+@pytest.mark.parametrize("g, class_c_only", [
+    (star(20), False), (Graph(16, complete(16).edges()[1:]), True)],
+    ids=["K1,20", "K16 - e"])
+def test_twin_rich_graphs_settle_every_theorem_item(g, class_c_only):
+    """K1,20 lies in every class, and K16 - e, whose missing edge makes
+    diamonds, only in class C.  Their twins leave each walk a handful of
+    key pairs, so every item settles at the default cap, as predicted;
+    walking each twin's subtree, K1,20's walks stop unknown at 200,000."""
+    for theorem in THEOREMS:
+        report = check_theorem(g, theorem)
+        predicted = theorem == THEOREM_C or not class_c_only
+        assert report.structural_prediction is predicted
+        assert all(value is predicted for _, value in report.items), report
