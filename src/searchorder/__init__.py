@@ -17,7 +17,6 @@ from .graphs import (
 )
 from .searches import (
     SearchKind,
-    SearchState,
     TieBreak,
     run_search,
     enumerate_orderings,

@@ -80,6 +80,9 @@ def _load_labels(path: str) -> dict[str, int]:
             if len(parts) != 2:
                 raise ValueError(f"labels file line {lineno}: expected 'name index'")
             name, index = parts
+            if name in mapping:
+                raise ValueError(
+                    f"labels file line {lineno}: duplicate label {name!r}")
             try:
                 mapping[name] = int(index)
             except ValueError:

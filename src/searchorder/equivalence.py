@@ -13,8 +13,7 @@ from typing import Optional
 
 from .graphs import Graph, require_connected, twin_classes
 from .searches import (_STEPS, DEFAULT_WALK_CAP, InconsistentStateError,
-                       SearchKind, SearchState, _root_key, candidate_mask,
-                       complete_prefix)
+                       SearchKind, _root_key, candidate_mask, complete_prefix)
 # Not called here, but importable as ``equivalence.enumerate_orderings``:
 # bench/spans.py rebinds that name to span the layer in traced runs.
 from .searches import enumerate_orderings  # noqa: F401
@@ -70,7 +69,7 @@ def _first_outside(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
 
     Each kind's candidates, here and below, depend only on its state key
     (``searches._STEPS``), and either key fixes the unvisited vertices, so
-    states with equal pairs (kind_x's key, kind_y's key) root identical
+    prefixes with equal pairs (kind_x's key, kind_y's key) root identical
     walk subtrees, and a pair walked before is not walked again.  A pair
     never recurs inside its own subtree, whose unvisited sets are smaller,
     so a pair met again roots a subtree already walked to the end without
@@ -95,25 +94,25 @@ def _first_outside(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
     adj = g.adj
     step_x = _STEPS[kind_x]
     step_y = _STEPS[kind_y]
-    root = SearchState(g)
-    key_x, key_y = _root_key(kind_x, n), _root_key(kind_y, n)
-    walked = {(key_x, key_y)}
-    # one frame per depth: a state, kind_x's candidates not yet tried there,
-    # kind_y's candidates and the two keys
-    stack = [(root, candidate_mask(kind_x, root, key_x),
-              candidate_mask(kind_y, root, key_y), key_x, key_y)]
+    root = _root_key(n)
+    walked = {(root, root)}
+    # one frame per depth: a prefix, kind_x's candidates not yet tried
+    # there, kind_y's candidates and the two keys
+    stack = [((), candidate_mask(kind_x, adj, root),
+              candidate_mask(kind_y, adj, root), root, root)]
     twins = _twins(adj)
     while stack:
-        state, rest, allowed, key_x, key_y = stack.pop()
+        prefix, rest, allowed, key_x, key_y = stack.pop()
         low = rest & -rest
         v = low.bit_length() - 1
         rest &= ~twins[v]  # v and its twins
         if rest:
-            stack.append((state, rest, allowed, key_x, key_y))
-        state = state.extend(v)
+            stack.append((prefix, rest, allowed, key_x, key_y))
+        prefix += (v,)
         if not allowed & low:
-            return complete_prefix(kind_x, state, step_x(adj, key_x, v)), False
-        if len(state.visited) == n:
+            return complete_prefix(kind_x, adj, prefix,
+                                   step_x(adj, key_x, v)), False
+        if len(prefix) == n:
             continue
         pair = key_x, key_y = step_x(adj, key_x, v), step_y(adj, key_y, v)
         if pair in walked:
@@ -121,8 +120,8 @@ def _first_outside(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
         if len(walked) >= cap:
             return None, True
         walked.add(pair)
-        stack.append((state, candidate_mask(kind_x, state, key_x),
-                      candidate_mask(kind_y, state, key_y), key_x, key_y))
+        stack.append((prefix, candidate_mask(kind_x, adj, key_x),
+                      candidate_mask(kind_y, adj, key_y), key_x, key_y))
     return None, False
 
 

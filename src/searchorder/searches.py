@@ -1,13 +1,14 @@
 """Executable search paradigms and exhaustive enumeration of their orderings.
 
-Each paradigm is realized once, by a state key stepped from parent to
-child (``_STEPS``) and a candidate rule that reads it; an ordering is
-produced by repeatedly picking one candidate.  BFS, DFS, LexBFS and LexDFS
-keep an ordered partition of the unvisited vertices whose first fringe
-class is the candidate set, as in partition refinement; Generic, MNS and
-MCS keep the visited mask and read the fringe.  The rules are *not*
-trusted: the test suite checks them exhaustively against the
-point-condition validators and against a reference that compares labels.
+Each paradigm is realized once, as a selection rule on the unvisited
+vertices: a state key, an ordered partition of those vertices stepped
+from parent to child (``_STEPS``), and a candidate rule that reads it; an
+ordering is produced by repeatedly picking one candidate.  Generic, BFS,
+DFS, LexBFS and LexDFS take the key's first class, as in partition
+refinement; MNS and MCS take from it, the fringe, the vertices whose
+visited neighbourhood is maximal.  The rules are *not* trusted: the test
+suite checks them exhaustively against the point-condition validators and
+against a reference that compares labels.
 """
 
 from __future__ import annotations
@@ -46,69 +47,51 @@ class InconsistentStateError(RuntimeError):
     pass
 
 
-class SearchState:
-    """Visited prefix of a search, with kind-independent bookkeeping.
+# State keys: an ordered partition of the unvisited vertices, one per
+# kind, whose first class is the kind's candidate set or, for MNS and MCS,
+# the fringe they choose from.  Every key starts as the one class of all
+# vertices (``_root_key``).  Each step maps (adjacency masks, key, vertex)
+# to the key after visiting the vertex, so keys are carried from parent to
+# child.  Equal keys leave the same vertices unvisited and give the same
+# candidates, and a step reads only the key, so prefixes with equal keys
+# root identical search trees.
 
-    It stores its graph, the prefix, the prefix's vertex mask and the union of
-    its neighbourhoods, no more, so states stay cheap to copy and compare.
-    """
-
-    __slots__ = ("graph", "visited", "visited_mask", "reached_mask")
-
-    def __init__(self, graph: Graph, visited: tuple[int, ...] = ()):
-        mask = reached = 0
-        for v in visited:
-            if not 0 <= v < graph.n:
-                raise InconsistentStateError(f"visited vertex {v} out of range")
-            if mask >> v & 1:
-                raise InconsistentStateError(f"vertex {v} visited twice")
-            mask |= 1 << v
-            reached |= graph.adj[v]
-        self.graph = graph
-        self.visited = tuple(visited)
-        self.visited_mask = mask
-        self.reached_mask = reached
-
-    def extend(self, v: int) -> "SearchState":
-        state = SearchState.__new__(SearchState)
-        state.graph = self.graph
-        state.visited = self.visited + (v,)
-        state.visited_mask = self.visited_mask | 1 << v
-        state.reached_mask = self.reached_mask | self.graph.adj[v]
-        return state
+def _root_key(n: int) -> tuple[int, ...]:
+    """Nothing visited: every vertex unreached, in one class."""
+    return ((1 << n) - 1,)
 
 
-# State keys, one per kind: what the kind's candidates read of a state, at
-# it and after any extension of it.  Each step maps (adjacency masks, key,
-# vertex) to the key after visiting the vertex, so keys are carried from
-# parent to child.  Equal keys leave the same vertices unvisited and give
-# the same candidates, and a step reads only the key, so states with equal
-# keys root identical search trees.
-
-def _visit(adj, key, v):
-    """Generic, MNS and MCS read only the visited mask."""
-    return key | 1 << v
+def _reach_step(adj, key, v):
+    """(fringe, unreached vertices): Generic takes the fringe, MNS and MCS
+    choose from it.  The unvisited set is the union of the first and the
+    last class, the root's one class included."""
+    unvisited = (key[0] | key[-1]) & ~(1 << v)
+    unreached = key[-1] & ~adj[v] & unvisited
+    return unvisited ^ unreached, unreached
 
 
 def _bfs_step(adj, key, v):
-    """(unreached vertices, fringe classes by first visited neighbour,
-    oldest first): BFS takes the first class."""
+    """(fringe classes by first visited neighbour, oldest first, unreached
+    vertices): BFS takes the first class."""
     keep = ~(1 << v)
-    new = adj[v] & key[0]
-    parts = [r for c in key[1:] if (r := c & keep)]
+    unreached = key[-1] & keep
+    new = adj[v] & unreached
+    parts = [r for c in key[:-1] if (r := c & keep)]
     if new:
         parts.append(new)
-    return ((key[0] ^ new) & keep, *parts)
+    parts.append(unreached ^ new)
+    return tuple(parts)
 
 
 def _dfs_step(adj, key, v):
-    """(unvisited vertices, fringe classes by last visited neighbour,
-    newest first): DFS takes the first class."""
-    unvisited = key[0] & ~(1 << v)
-    new = adj[v] & unvisited
+    """(fringe classes by last visited neighbour, newest first, unreached
+    vertices): DFS takes the first class."""
+    # the classes are disjoint, so their sum is the unvisited set
+    new = adj[v] & sum(key)
     keep = ~(new | 1 << v)
-    parts = [r for c in key[1:] if (r := c & keep)]
-    return (unvisited, new, *parts) if new else (unvisited, *parts)
+    parts = [r for c in key[:-1] if (r := c & keep)]
+    unreached = key[-1] & keep
+    return (new, *parts, unreached) if new else (*parts, unreached)
 
 
 def _split(adj, key, v, ins, outs):
@@ -147,49 +130,34 @@ def _lexdfs_step(adj, key, v):
 
 
 _STEPS = {
-    SearchKind.GENERIC: _visit,
+    SearchKind.GENERIC: _reach_step,
     SearchKind.BFS: _bfs_step,
     SearchKind.DFS: _dfs_step,
     SearchKind.LEXBFS: _lexbfs_step,
     SearchKind.LEXDFS: _lexdfs_step,
-    SearchKind.MNS: _visit,
-    SearchKind.MCS: _visit,
+    SearchKind.MNS: _reach_step,
+    SearchKind.MCS: _reach_step,
 }
 
 
-def _root_key(kind: SearchKind, n: int):
-    """The key with nothing visited: the visited mask 0, or every vertex
-    unreached (BFS), unvisited (DFS) or in one label class (LexBFS,
-    LexDFS)."""
-    return 0 if _STEPS[kind] is _visit else ((1 << n) - 1,)
+# Candidate rules: each maps (adjacency masks, key) to the mask of
+# permitted next vertices.  Generic, BFS, DFS, LexBFS and LexDFS take the
+# key's first class.  MNS and MCS choose among the fringe, the first
+# class, by visited neighbourhood: a visited vertex is in neither the
+# first nor the last class, so ~(key[0] | key[-1]) masks a neighbourhood
+# to the visited set.
 
-
-# Candidate rules: each maps (adjacency masks, key, fringe) to the mask of
-# permitted next vertices; the fringe is the unvisited vertices with a
-# visited neighbour.  A partition key holds its kind's candidates as its
-# first fringe class; Generic, MNS and MCS read the fringe and the visited
-# mask, which is their key.
-
-def _generic(adj, key, fringe):
-    return fringe
-
-
-def _first_fringe_class(adj, key, fringe):
-    """BFS and DFS: the class after the unreached or unvisited vertices."""
-    return key[1] if len(key) > 1 else 0
-
-
-def _first_label_class(adj, key, fringe):
-    """LexBFS and LexDFS: the best label."""
+def _first_class(adj, key):
     return key[0] if key else 0
 
 
-def _mns(adj, mask, fringe):
+def _mns(adj, key):
     """Fringe vertices grouped by visited neighbourhood; the groups whose
     neighbourhood is not strictly inside another one."""
+    visited = ~(key[0] | key[-1])
     groups: dict[int, int] = {}
-    for v in bits(fringe):
-        label = adj[v] & mask
+    for v in bits(key[0]):
+        label = adj[v] & visited
         groups[label] = groups.get(label, 0) | 1 << v
     best = 0
     for label, group in groups.items():
@@ -199,12 +167,13 @@ def _mns(adj, mask, fringe):
     return best
 
 
-def _mcs(adj, mask, fringe):
+def _mcs(adj, key):
     """Fringe vertices with the most visited neighbours."""
+    visited = ~(key[0] | key[-1])
     best = 0
     top = -1
-    for v in bits(fringe):
-        count = (adj[v] & mask).bit_count()
+    for v in bits(key[0]):
+        count = (adj[v] & visited).bit_count()
         if count > top:
             best, top = 1 << v, count
         elif count == top:
@@ -213,27 +182,24 @@ def _mcs(adj, mask, fringe):
 
 
 _RULES = {
-    SearchKind.GENERIC: _generic,
-    SearchKind.BFS: _first_fringe_class,
-    SearchKind.DFS: _first_fringe_class,
-    SearchKind.LEXBFS: _first_label_class,
-    SearchKind.LEXDFS: _first_label_class,
+    SearchKind.GENERIC: _first_class,
+    SearchKind.BFS: _first_class,
+    SearchKind.DFS: _first_class,
+    SearchKind.LEXBFS: _first_class,
+    SearchKind.LEXDFS: _first_class,
     SearchKind.MNS: _mns,
     SearchKind.MCS: _mcs,
 }
 
 
-def candidate_mask(kind: SearchKind, state: SearchState, key) -> int:
+def candidate_mask(kind: SearchKind, adj: tuple[int, ...], key) -> int:
     """The exact set of vertices the paradigm permits as the next choice
-    from ``state``, whose key for ``kind`` is ``key``, as a bitmask; 0 once
+    at a prefix whose key for ``kind`` is ``key``, as a bitmask; 0 once
     every vertex is visited."""
-    g = state.graph
-    if not state.visited_mask:
-        return (1 << g.n) - 1
     rule = _RULES.get(kind)
     if rule is None:
         raise ValueError(f"unhandled search kind {kind}")
-    return rule(g.adj, key, state.reached_mask & ~state.visited_mask)
+    return rule(adj, key)
 
 
 # -- tie breaking ------------------------------------------------------
@@ -260,19 +226,19 @@ class TieBreak:
         return random.Random(f"{self.seed}:{step}:{ordered}").choice(ordered)
 
 
-def complete_prefix(kind: SearchKind, state: SearchState, key,
+def complete_prefix(kind: SearchKind, adj: tuple[int, ...],
+                    prefix: tuple[int, ...], key,
                     tiebreak: TieBreak = TieBreak()) -> tuple[int, ...]:
     """Extend the visited prefix, whose key for ``kind`` is ``key``, to a
     complete ordering, resolving every tie with the given tie-break."""
-    g = state.graph
     step = _STEPS[kind]
-    while len(state.visited) < g.n - 1:
-        v = tiebreak.pick(candidate_mask(kind, state, key), len(state.visited))
-        state = state.extend(v)
-        key = step(g.adj, key, v)
+    while len(prefix) < len(adj) - 1:
+        v = tiebreak.pick(candidate_mask(kind, adj, key), len(prefix))
+        prefix += (v,)
+        key = step(adj, key, v)
     # one vertex left at most: every kind's only candidate
-    last = ((1 << g.n) - 1) ^ state.visited_mask
-    return state.visited + (last.bit_length() - 1,) if last else state.visited
+    last = candidate_mask(kind, adj, key)
+    return prefix + (last.bit_length() - 1,) if last else prefix
 
 
 def run_search(g: Graph, kind: SearchKind, tiebreak: TieBreak = TieBreak(),
@@ -283,12 +249,12 @@ def run_search(g: Graph, kind: SearchKind, tiebreak: TieBreak = TieBreak(),
         raise ValueError("run_search requires at least one vertex")
     if start is not None and not 0 <= start < g.n:
         raise ValueError(f"start vertex {start} out of range")
-    state = SearchState(g)
-    key = _root_key(kind, g.n)
+    prefix = ()
+    key = _root_key(g.n)
     if start is not None:
-        state = state.extend(start)
+        prefix = (start,)
         key = _STEPS[kind](g.adj, key, start)
-    return complete_prefix(kind, state, key, tiebreak)
+    return complete_prefix(kind, g.adj, prefix, key, tiebreak)
 
 
 # -- exhaustive enumeration --------------------------------------------
@@ -313,17 +279,18 @@ def enumerate_orderings(g: Graph, kind: SearchKind,
 
     Every tie's candidates, the start included, are tried in ascending
     order, so the orderings come out lexicographically sorted.  Each kind
-    has its own state key (``_STEPS``): the visited mask for Generic, MNS
-    and MCS, an ordered partition of the unvisited vertices for BFS, DFS,
-    LexBFS and LexDFS.  A child's key is stepped from its parent's.  States
-    with equal keys root identical subtrees, so the orderings below a
-    repeated key are copied from the first state walked with that key,
-    with the prefix swapped, not walked again.  With one vertex left, it is
-    every kind's only candidate, so that ordering is appended at once.
-    What limits n is then the size of the output, not the walk: K_n has n!
-    orderings of every kind.  If there are more than ``cap`` orderings, the
-    first ``cap`` are returned and the truncation flag says so, never
-    silently.
+    keeps an ordered partition of the unvisited vertices as its state key
+    (``_STEPS``): (fringe, unreached) for Generic, MNS and MCS, fringe
+    classes then the unreached class for BFS and DFS, label classes for
+    LexBFS and LexDFS.  A child's key is stepped from its parent's.
+    Prefixes with equal keys root identical subtrees, so the orderings
+    below a repeated key are copied from the first prefix walked with that
+    key, with the prefix swapped, not walked again.  With one vertex left,
+    it is every kind's only candidate, so that ordering is appended at
+    once.  What limits n is then the size of the output, not the walk: K_n
+    has n! orderings of every kind.  If there are more than ``cap``
+    orderings, the first ``cap`` are returned and the truncation flag says
+    so, never silently.
     """
     require_connected(g)
     if cap <= 0:
@@ -334,40 +301,40 @@ def enumerate_orderings(g: Graph, kind: SearchKind,
         return EnumerationResult((), False)
     adj = g.adj
     step = _STEPS[kind]
-    everyone = (1 << n) - 1
     # key -> (first, end): found[first:end] are the orderings through the
-    # first state walked with that key
-    walked: dict[int | tuple[int, ...], tuple[int, int]] = {}
-    root = SearchState(g)
-    key = _root_key(kind, n)
-    # one frame per depth: a state, its candidates not yet tried, its key
-    # and where its orderings start in ``found``; popped with no candidates
-    # left, its subtree is done
-    stack = [(root, candidate_mask(kind, root, key), key, 0)]
+    # first prefix walked with that key
+    walked: dict[tuple[int, ...], tuple[int, int]] = {}
+    key = _root_key(n)
+    # one frame per depth: a prefix, its unvisited vertices (at the root,
+    # the key's one class), its candidates not yet tried, its key and where
+    # its orderings start in ``found``; popped with no candidates left, its
+    # subtree is done
+    stack = [((), key[0], candidate_mask(kind, adj, key), key, 0)]
     while stack:
-        state, rest, key, first = stack.pop()
+        prefix, unvisited, rest, key, first = stack.pop()
         if not rest:
             walked[key] = (first, len(found))
             continue
         low = rest & -rest
-        # a frame left with no candidates needs no state, only its span
-        stack.append((state if rest != low else None, rest ^ low, key, first))
+        # a frame left with no candidates needs no prefix, only its span
+        stack.append((prefix if rest != low else None, unvisited, rest ^ low,
+                      key, first))
         v = low.bit_length() - 1
-        prefix = state.visited + (v,)
+        prefix += (v,)
+        unvisited ^= low
         depth = len(prefix)
         if depth >= n - 1:
             # one vertex left at most: every kind's only candidate
             if len(found) == cap:
                 return EnumerationResult(tuple(found), True)
-            last = everyone ^ state.visited_mask ^ low
-            found.append(prefix + (last.bit_length() - 1,) if last else prefix)
+            found.append(prefix + (unvisited.bit_length() - 1,)
+                         if unvisited else prefix)
             continue
         key = step(adj, key, v)
         span = walked.get(key)
         if span is None:
-            state = state.extend(v)
-            stack.append((state, candidate_mask(kind, state, key), key,
-                          len(found)))
+            stack.append((prefix, unvisited, candidate_mask(kind, adj, key),
+                          key, len(found)))
             continue
         # an equal key leaves the same vertices unvisited, so the span's
         # orderings complete this prefix from the same depth on

@@ -20,8 +20,8 @@ from itertools import combinations, permutations, product
 from searchorder import (C4, DIAMOND, P4, PAN, PAW, Graph, PatternHit,
                          PointViolation, SearchKind)
 from searchorder.graphs import bits
-from searchorder.searches import (_STEPS, SearchState, _root_key,
-                                  candidate_mask, complete_prefix)
+from searchorder.searches import (_STEPS, _root_key, candidate_mask,
+                                  complete_prefix)
 from smallgraphs import cycle, diamond, path, paw
 
 
@@ -397,21 +397,21 @@ def reference_first_outside(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
     adj = g.adj
     step_x = _STEPS[kind_x]
     step_y = _STEPS[kind_y]
-    root = SearchState(g)
-    key_x, key_y = _root_key(kind_x, n), _root_key(kind_y, n)
-    walked = {(key_x, key_y)}
-    stack = [(root, candidate_mask(kind_x, root, key_x),
-              candidate_mask(kind_y, root, key_y), key_x, key_y)]
+    root = _root_key(n)
+    walked = {(root, root)}
+    stack = [((), candidate_mask(kind_x, adj, root),
+              candidate_mask(kind_y, adj, root), root, root)]
     while stack:
-        state, rest, allowed, key_x, key_y = stack.pop()
+        prefix, rest, allowed, key_x, key_y = stack.pop()
         low = rest & -rest
         if rest != low:
-            stack.append((state, rest ^ low, allowed, key_x, key_y))
+            stack.append((prefix, rest ^ low, allowed, key_x, key_y))
         v = low.bit_length() - 1
-        state = state.extend(v)
+        prefix += (v,)
         if not allowed & low:
-            return complete_prefix(kind_x, state, step_x(adj, key_x, v)), False
-        if len(state.visited) == n:
+            return complete_prefix(kind_x, adj, prefix,
+                                   step_x(adj, key_x, v)), False
+        if len(prefix) == n:
             continue
         pair = key_x, key_y = step_x(adj, key_x, v), step_y(adj, key_y, v)
         if pair in walked:
@@ -419,6 +419,6 @@ def reference_first_outside(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
         if len(walked) >= cap:
             return None, True
         walked.add(pair)
-        stack.append((state, candidate_mask(kind_x, state, key_x),
-                      candidate_mask(kind_y, state, key_y), key_x, key_y))
+        stack.append((prefix, candidate_mask(kind_x, adj, key_x),
+                      candidate_mask(kind_y, adj, key_y), key_x, key_y))
     return None, False

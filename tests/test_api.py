@@ -11,7 +11,7 @@ PUBLIC = {
     "DisconnectedGraphError", "parse_graph6", "emit_graph6", "parse_edge_list",
     "is_connected", "induced_subgraph",
     # searches
-    "SearchKind", "SearchState", "TieBreak", "run_search",
+    "SearchKind", "TieBreak", "run_search",
     "enumerate_orderings", "EnumerationResult",
     # validators
     "PointViolation", "is_generic_order", "check_point_condition",

@@ -153,6 +153,17 @@ class TestValidate:
         assert code == EXIT_OK
         assert json.loads(out)["ordering"] == [2, 0, 3, 1]
 
+    def test_duplicate_label_exits_2(self, tmp_path, capsys):
+        """A repeated name would silently win: here ``x y 0`` would read as
+        the valid BFS ordering [2, 1, 0]."""
+        f = write(tmp_path, "g.g6", emit_graph6(path(3)))
+        labels = write(tmp_path, "labels.txt", "x 0\ny 1\nx 2\n")
+        code, out, err = run_cli(capsys, [
+            "validate", f, "--kind", "bfs", "--ordering", "x y 0",
+            "--labels", labels])
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == "error: labels file line 3: duplicate label 'x'\n"
+
     def test_labels_and_graph_both_from_stdin_exits_2(self, capsys,
                                                       monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("Bw\n"))

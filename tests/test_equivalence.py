@@ -327,7 +327,7 @@ def _key_pairs(g, orderings, kx, ky):
     ``orderings``, each key stepped along its ordering."""
     pairs = set()
     for o in orderings:
-        pair = (_root_key(kx, g.n), _root_key(ky, g.n))
+        pair = (_root_key(g.n), _root_key(g.n))
         for v in o:
             pairs.add(pair)
             pair = (_STEPS[kx](g.adj, pair[0], v),

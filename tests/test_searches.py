@@ -7,19 +7,13 @@ from searchorder import (
     DisconnectedGraphError,
     Graph,
     SearchKind,
-    SearchState,
     TieBreak,
     enumerate_orderings,
     is_search_ordering,
     run_search,
 )
 from searchorder.graphs import bits
-from searchorder.searches import (
-    _STEPS,
-    InconsistentStateError,
-    _root_key,
-    candidate_mask,
-)
+from searchorder.searches import _STEPS, _root_key, candidate_mask
 from oracles import ORACLES, reference_candidates
 from smallgraphs import complete, complete_bipartite, cycle, pan, path, paw, star
 from strategies import random_connected_graphs
@@ -27,81 +21,65 @@ from strategies import random_connected_graphs
 ALL_KINDS = list(SearchKind)
 
 
-def kind_key(kind, state):
-    """The kind's key of ``state``, stepped along its visited prefix."""
-    key = _root_key(kind, state.graph.n)
-    for v in state.visited:
-        key = _STEPS[kind](state.graph.adj, key, v)
+def kind_key(kind, g, prefix):
+    """The kind's key of ``prefix``, stepped along it from the root."""
+    key = _root_key(g.n)
+    for v in prefix:
+        key = _STEPS[kind](g.adj, key, v)
     return key
 
 
-def candidates(kind, state):
-    return set(bits(candidate_mask(kind, state, kind_key(kind, state))))
+def candidates(kind, g, prefix):
+    return set(bits(candidate_mask(kind, g.adj, kind_key(kind, g, prefix))))
 
 
 class TestCandidates:
     def test_every_kind_offers_all_vertices_first(self):
         g = cycle(5)
         for kind in ALL_KINDS:
-            assert candidates(kind, SearchState(g)) == set(range(5))
+            assert candidates(kind, g, ()) == set(range(5))
 
     def test_complete_graph_symmetry(self):
         g = complete(4)
-        state = SearchState(g, (0,))
         for kind in ALL_KINDS:
-            assert candidates(kind, state) == {1, 2, 3}
+            assert candidates(kind, g, (0,)) == {1, 2, 3}
 
     def test_mns_incomparable_labels_on_path(self):
         # a-b-c-d visited (b,c): labels {b} and {c} are incomparable
-        g = path(4)
-        state = SearchState(g, (1, 2))
-        assert candidates(SearchKind.MNS, state) == {0, 3}
+        assert candidates(SearchKind.MNS, path(4), (1, 2)) == {0, 3}
 
     def test_lexbfs_on_paw(self):
         # triangle a,b,c + pendant d on c; after (c,a) only b has label {c,a}
-        g = paw()
-        state = SearchState(g, (2, 0))
-        assert candidates(SearchKind.LEXBFS, state) == {1}
+        assert candidates(SearchKind.LEXBFS, paw(), (2, 0)) == {1}
 
     def test_bfs_layer_heads(self):
-        g = path(4)
-        state = SearchState(g, (1, 0))
         # 2 was discovered by 1 (rank 0); it beats nothing else: only 2 in fringe
-        assert candidates(SearchKind.BFS, state) == {2}
+        assert candidates(SearchKind.BFS, path(4), (1, 0)) == {2}
 
     def test_dfs_follows_deepest(self):
-        g = star(3)
-        state = SearchState(g, (1, 0))
-        assert candidates(SearchKind.DFS, state) == {2, 3}
+        assert candidates(SearchKind.DFS, star(3), (1, 0)) == {2, 3}
 
     def test_mcs_max_count(self):
-        g = paw()
-        state = SearchState(g, (0, 1))
-        assert candidates(SearchKind.MCS, state) == {2}
+        assert candidates(SearchKind.MCS, paw(), (0, 1)) == {2}
 
     def test_complete_prefix_has_no_candidates(self):
         g = path(3)
         for kind in ALL_KINDS:
-            assert candidates(kind, SearchState(g, (0, 1, 2))) == set()
-
-    def test_rejects_duplicate_visit(self):
-        g = path(3)
-        with pytest.raises(InconsistentStateError):
-            SearchState(g, (0, 0))
+            assert candidates(kind, g, (0, 1, 2)) == set()
 
 
 def _keyed_prefixes(g):
-    """Every incomplete state a generic search of g can reach, with each
-    kind's key carried along its prefix."""
-    roots = {kind: _root_key(kind, g.n) for kind in ALL_KINDS}
-    stack = [(SearchState(g), roots)]
+    """Every incomplete prefix a generic search of g can reach, with each
+    kind's key carried along it."""
+    root = _root_key(g.n)
+    stack = [((), {kind: root for kind in ALL_KINDS})]
     while stack:
-        state, keys = stack.pop()
-        if len(state.visited) < g.n:
-            yield state, keys
+        prefix, keys = stack.pop()
+        if len(prefix) < g.n:
+            yield prefix, keys
             generic = keys[SearchKind.GENERIC]
-            for v in bits(candidate_mask(SearchKind.GENERIC, state, generic)):
-                stack.append((state.extend(v),
+            for v in bits(candidate_mask(SearchKind.GENERIC, g.adj, generic)):
+                stack.append((prefix + (v,),
                               {kind: _STEPS[kind](g.adj, key, v)
                                for kind, key in keys.items()}))
 
@@ -114,38 +92,52 @@ def _assert_partition(parts, whole):
     assert union == whole, parts
 
 
+_REACH_KINDS = (SearchKind.GENERIC, SearchKind.MNS, SearchKind.MCS)
+
+
 def test_kind_keys_are_sound(graphs_upto_6):
-    """enumerate_orderings and the inclusion walk rely on this: states with
-    equal keys for a kind leave the same vertices unvisited and offer equal
-    candidates for that kind.  Their equal extensions get equal keys, since
-    a step reads only the key, and the walk compares those extensions in
-    turn.  A partition key's first fringe class is the kind's candidate
-    set."""
+    """enumerate_orderings and the inclusion walk rely on this: every key is
+    an ordered partition of the unvisited vertices, so prefixes with equal
+    keys for a kind leave the same vertices unvisited, and they offer equal
+    candidates, which are read from the key alone.  Their equal extensions
+    get equal keys, since a step reads only the key, and the walk compares
+    those extensions in turn.  Generic, BFS, DFS, LexBFS and LexDFS take
+    the key's first class; MNS and MCS choose from it, the fringe, and the
+    visited set is what neither it nor the last class holds.  392,230
+    prefixes repeat an earlier prefix's key, as many as with the visited
+    mask as the key of Generic, MNS and MCS."""
     compared = 0
     for g in graphs_upto_6:
         everyone = (1 << g.n) - 1
         first = {}
-        for state, keys in _keyed_prefixes(g):
-            unvisited = everyone & ~state.visited_mask
-            fringe = state.reached_mask & unvisited
+        for prefix, keys in _keyed_prefixes(g):
+            visited = reached = 0
+            for v in prefix:
+                visited |= 1 << v
+                reached |= g.adj[v]
+            unvisited = everyone & ~visited
+            fringe = reached & unvisited
             for kind, key in keys.items():
-                got = candidate_mask(kind, state, key)
-                if not isinstance(key, tuple):  # Generic, MNS and MCS
-                    assert key == state.visited_mask
+                got = candidate_mask(kind, g.adj, key)
+                if not prefix:
+                    assert key == (everyone,)
+                elif kind in _REACH_KINDS:
+                    assert key == (fringe, unvisited ^ fringe)
                 elif kind in (SearchKind.BFS, SearchKind.DFS):
-                    assert key[0] == (unvisited ^ fringe
-                                      if kind is SearchKind.BFS else unvisited)
-                    _assert_partition(key[1:], fringe)
-                    assert got == (key[1] if fringe else everyone)
+                    assert key[-1] == unvisited ^ fringe
+                    _assert_partition(key[:-1], fringe)
                 else:
                     _assert_partition(key, unvisited)
+                if kind in _REACH_KINDS:
+                    assert everyone & ~(key[0] | key[-1]) == visited
+                    assert got & ~key[0] == 0 < got
+                else:
                     assert got == key[0]
-                seen = first.setdefault((kind, key), state)
-                if seen is state:
+                seen = first.setdefault((kind, key), (prefix, visited))
+                if seen[0] is prefix:
                     continue
                 compared += 1
-                assert got == candidate_mask(kind, seen, key), \
-                    (g, kind, state.visited, seen.visited)
+                assert seen[1] == visited, (g, kind, prefix, seen[0])
     assert compared == 392_230
 
 
@@ -155,12 +147,11 @@ def test_candidates_match_reference_rules(graphs_upto_6):
     search, on every connected graph with n <= 6."""
     compared = 0
     for g in graphs_upto_6:
-        for state, keys in _keyed_prefixes(g):
+        for prefix, keys in _keyed_prefixes(g):
             compared += 1
             for kind, key in keys.items():
-                assert set(bits(candidate_mask(kind, state, key))) == \
-                    reference_candidates(g, kind, state.visited), \
-                    (g, kind, state.visited)
+                assert set(bits(candidate_mask(kind, g.adj, key))) == \
+                    reference_candidates(g, kind, prefix), (g, kind, prefix)
     assert compared == 63_162
 
 
@@ -186,10 +177,8 @@ class TestRunSearch:
         g = cycle(6)
         for kind in ALL_KINDS:
             got = run_search(g, kind, TieBreak.seeded(7))
-            state = SearchState(g)
-            for v in got:
-                assert v in candidates(kind, state)
-                state = state.extend(v)
+            for depth, v in enumerate(got):
+                assert v in candidates(kind, g, got[:depth])
 
     def test_seeded_runs_reproduce(self):
         g = cycle(6)
@@ -370,30 +359,29 @@ def test_seeded_searches_past_exhaustive_sizes(g, seed):
 @given(random_connected_graphs(), st.randoms(use_true_random=False))
 def test_candidates_match_reference_past_exhaustive_sizes(g, rng):
     """Every prefix of a random generic search, the complete one included."""
-    state = SearchState(g)
+    prefix = ()
     while True:
         for kind in ALL_KINDS:
-            assert candidates(kind, state) == \
-                reference_candidates(g, kind, state.visited), \
-                (g, kind, state.visited)
-        if len(state.visited) == g.n:
+            assert candidates(kind, g, prefix) == \
+                reference_candidates(g, kind, prefix), (g, kind, prefix)
+        if len(prefix) == g.n:
             break
-        options = sorted(candidates(SearchKind.GENERIC, state))
-        state = state.extend(rng.choice(options))
+        options = sorted(candidates(SearchKind.GENERIC, g, prefix))
+        prefix += (rng.choice(options),)
 
 
 def _unshared_orderings(g, kind, cap):
     """Depth-first over candidate_mask in ascending order, no memo, stopped
     once ``cap + 1`` orderings are found."""
     found = []
-    stack = [(SearchState(g), _root_key(kind, g.n))]
+    stack = [((), _root_key(g.n))]
     while stack and len(found) <= cap:
-        state, key = stack.pop()
-        if len(state.visited) == g.n:
-            found.append(state.visited)
+        prefix, key = stack.pop()
+        if len(prefix) == g.n:
+            found.append(prefix)
             continue
-        stack.extend((state.extend(v), _STEPS[kind](g.adj, key, v)) for v in
-                     sorted(bits(candidate_mask(kind, state, key)),
+        stack.extend((prefix + (v,), _STEPS[kind](g.adj, key, v)) for v in
+                     sorted(bits(candidate_mask(kind, g.adj, key)),
                             reverse=True))
     return tuple(found[:cap]), len(found) > cap
 
