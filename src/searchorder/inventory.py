@@ -4,18 +4,23 @@ class, plus the canonical form used to deduplicate them.
 The scan workload ships with a frozen graph6 inventory of all connected
 graphs on 1..7 vertices (996 of them); this module regenerates it and
 goes on to n = 8 (11,117 graphs, used by the structural sweeps) and
-n = 9 (261,080).  Each augmentation is keyed by `canonical_key`, a
-branch and bound over the rows of the adjacency matrix that tries one
-vertex of each pair of twins, so even symmetric graphs key fast: K9 in
-about 0.2 ms, the Petersen graph in about 2 ms on a 2-vCPU VM.
-"""
+n = 9 (261,080).  Each graph on n vertices is a graph on n - 1 with a
+new vertex joined to a subset of the old ones, and subsets in one orbit
+of the old graph's automorphism group give isomorphic graphs, so only
+the least subset of each orbit is keyed: 4,159 augmentations for
+n <= 7 where there are 7,815 subsets, and 67,141 for n = 8 where there
+are 108,331.  The key, `canonical_key`, is a branch and bound over the
+rows of the adjacency matrix that tries one vertex of each pair of
+twins, so even symmetric graphs key fast: K9 in about 0.2 ms, the
+Petersen graph in about 2 ms on a 2-vCPU VM.  The relabelings it ends
+with give the automorphism group that the orbits are taken under."""
 
 from __future__ import annotations
 
 from functools import lru_cache
 from importlib import resources
 
-from .graphs import Graph, parse_graph6, twin_classes
+from .graphs import Graph, bits, parse_graph6, twin_classes
 
 # number of connected graphs on n vertices up to isomorphism (n = 1..9,
 # OEIS A001349)
@@ -68,11 +73,32 @@ def canonical_key(g: Graph) -> tuple:
     unplaced twins (N(x) - {y} = N(y) - {x}) only the lower is tried, since
     swapping them is an automorphism that fixes every placed vertex.  If
     refinement leaves one vertex per class, there is one relabeling, and
-    its key is read off the edges.
+    its key is read off the edges.  `_key_and_automorphisms` is the same
+    search, and also returns the automorphisms that the surviving
+    relabelings give.
+    """
+    return _key_and_automorphisms(g)[0]
+
+
+def _key_and_automorphisms(g: Graph) -> tuple[tuple, list[list[int]]]:
+    """`canonical_key(g)`, and one automorphism of g, as a list mapping
+    each vertex to its image, for each coset of the twin-swap group T
+    other than T itself.
+
+    Every relabeling that attains the key maps g onto the same graph, so
+    for any two of them, lambda_0 and lambda_i, the map that sends the
+    vertex lambda_i places at a position to the vertex lambda_0 places
+    there is an automorphism, and every automorphism arises this way.
+    The search keeps those relabelings that place each twin class's
+    vertices in ascending order from the top position down, one per
+    coset of T, so the survivors
+    other than the first give the automorphisms returned; with T they
+    generate the whole group.  One vertex per class after refinement
+    means no automorphism but the identity, and no twins.
     """
     n = g.n
     if n <= 1:
-        return (n, 0)
+        return (n, 0), []
     adj = g.adj
     vertices = range(n)
     nbrs = [[u for u in vertices if mask >> u & 1] for mask in adj]
@@ -84,21 +110,22 @@ def canonical_key(g: Graph) -> tuple:
             for u in nbr:
                 if colors[u] > pv:
                     key |= 1 << (pv * n + colors[u])
-        return (n, key)
+        return (n, key), []
     blocks: list[list[int]] = [[] for _ in vertices]  # color -> its vertices
     for v, c in enumerate(colors):
         blocks[c].append(v)
     owners = sorted(colors)  # position -> the color of its block
     twins = twin_classes(adj)
     key = 0
-    # each kept placement: its unplaced vertices, and for every vertex the
-    # positions of its placed neighbors
-    states = [((1 << n) - 1, [0] * n)]
+    # each kept placement: its unplaced vertices, for every vertex the
+    # positions of its placed neighbors, and the vertices placed so far,
+    # from position n - 1 down
+    states = [((1 << n) - 1, [0] * n, ())]
     for k in range(n - 1, -1, -1):
         block = blocks[owners[k]]
         least = 1 << n  # above every row
         chosen = []
-        for unplaced, rows in states:
+        for unplaced, rows, order in states:
             for x in block:
                 if (not unplaced >> x & 1
                         or twins[x] & unplaced & ((1 << x) - 1)):
@@ -106,18 +133,68 @@ def canonical_key(g: Graph) -> tuple:
                 row = rows[x]
                 if row < least:
                     least = row
-                    chosen = [(unplaced, rows, x)]
+                    chosen = [(unplaced, rows, order, x)]
                 elif row == least:
-                    chosen.append((unplaced, rows, x))
+                    chosen.append((unplaced, rows, order, x))
         key |= least << (k * n)
         placed = 1 << k
         states = []
-        for unplaced, rows, x in chosen:
+        for unplaced, rows, order, x in chosen:
             rows = rows.copy()
             for w in nbrs[x]:
                 rows[w] |= placed
-            states.append((unplaced & ~(1 << x), rows))
-    return (n, key)
+            states.append((unplaced & ~(1 << x), rows, order + (x,)))
+    first = states[0][2]
+    automorphisms = []
+    for _, _, order in states[1:]:
+        image = [0] * n
+        for v, w in zip(order, first):
+            image[v] = w
+        automorphisms.append(image)
+    return (n, key), automorphisms
+
+
+def _twin_least(subset: int, lows: list[tuple[int, list[int]]]) -> int:
+    """The least image of `subset` under twin swaps: in each twin class
+    (mask, prefix), as many of its lowest vertices as the subset has
+    there, where prefix[c] holds the class's lowest c vertices."""
+    for mask, prefix in lows:
+        subset = subset & ~mask | prefix[(subset & mask).bit_count()]
+    return subset
+
+
+def _orbit_minimal_subsets(parent: Graph) -> list[int]:
+    """The nonempty vertex subsets of `parent`, as masks in ascending
+    order, that are the least member of their orbit under its
+    automorphism group.
+
+    The group is the twin-swap group T, which permutes each twin class
+    freely, together with the automorphisms r from
+    `_key_and_automorphisms`, one per coset of T other than T.  T is
+    normal (an automorphism maps twins to twins), so the least member of
+    S's orbit is the least of Tmin(S) and every Tmin(r(S)), where Tmin
+    (`_twin_least`) is the least member of a T-orbit.
+    """
+    m = parent.n
+    _, automorphisms = _key_and_automorphisms(parent)
+    lows = []
+    for mask in set(twin_classes(parent.adj)):
+        if mask & (mask - 1):
+            prefix = [0]
+            for v in bits(mask):
+                prefix.append(prefix[-1] | 1 << v)
+            lows.append((mask, prefix))
+    kept = []
+    for subset in range(1, 1 << m):
+        if _twin_least(subset, lows) != subset:
+            continue
+        for image in automorphisms:
+            moved = sum([1 << image[v] for v in bits(subset)])
+            if _twin_least(moved, lows) < subset:
+                break
+        else:
+            kept.append(subset)
+    return kept
 
 
 @lru_cache(maxsize=None)
@@ -125,8 +202,15 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
     """All connected graphs on n vertices, one per isomorphism class.
 
     Built by augmenting each (n-1)-vertex connected graph with one new
-    vertex joined to every nonempty subset of the old vertices; every
+    vertex joined to a nonempty subset of the old vertices; every
     connected graph contains a non-cut vertex, so nothing is missed.
+    Each graph kept is the first augmentation, in the order of parents
+    and then of subsets as masks, with its key.  If an automorphism pi
+    of the parent maps S to a lesser subset pi(S), then pi with the new
+    vertex fixed is an isomorphism from parent + S onto parent + pi(S),
+    which came first; so only the subsets least in their orbit under
+    the parent's automorphisms (`_orbit_minimal_subsets`) are keyed, and
+    the graphs kept are those that keying every subset would keep.
     """
     if n < 1:
         return ()
@@ -136,14 +220,8 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
     new = n - 1
     for parent in connected_graphs(n - 1):
         base_edges = parent.edges()
-        for subset in range(1, 1 << (n - 1)):
-            edges = list(base_edges)
-            m = subset
-            while m:
-                low = m & -m
-                edges.append((low.bit_length() - 1, new))
-                m ^= low
-            g = Graph(n, edges)
+        for subset in _orbit_minimal_subsets(parent):
+            g = Graph(n, base_edges + [(v, new) for v in bits(subset)])
             key = canonical_key(g)
             if key not in seen:
                 seen[key] = g

@@ -11,8 +11,10 @@ point-condition validator, and ``first_induced_small`` and
 ``first_induced_pan`` the brute-force references for its 4-vertex and
 k-pan detectors; the latter lists every chordless cycle.
 ``reference_canonical_key`` computes the inventory's canonical key by
-trying every relabeling inside the refined color classes, and
-``reference_first_outside`` is the inclusion walk without twin pruning.
+trying every relabeling inside the refined color classes,
+``reference_connected_graphs`` regenerates the inventory keying every
+augmentation, and ``reference_first_outside`` is the inclusion walk
+without twin pruning.
 """
 
 from itertools import combinations, permutations, product
@@ -20,6 +22,7 @@ from itertools import combinations, permutations, product
 from searchorder import (C4, DIAMOND, P4, PAN, PAW, Graph, PatternHit,
                          PointViolation, SearchKind)
 from searchorder.graphs import bits
+from searchorder.inventory import canonical_key
 from searchorder.searches import (_STEPS, _root_key, candidate_mask,
                                   complete_prefix)
 from smallgraphs import cycle, diamond, path, paw
@@ -384,6 +387,27 @@ def reference_canonical_key(g: Graph) -> tuple:
         if best is None or key < best:
             best = key
     return (n, best)
+
+
+def reference_connected_graphs(n: int) -> tuple:
+    """All connected graphs on n vertices, one per isomorphism class, in
+    key order: level by level, each graph on k - 1 vertices with a new
+    vertex joined to every nonempty subset of its vertices in turn, the
+    first augmentation with each key kept."""
+    if n < 1:
+        return ()
+    level = (Graph(1),)
+    for k in range(2, n + 1):
+        seen = {}
+        new = k - 1
+        for parent in level:
+            base_edges = parent.edges()
+            for subset in range(1, 1 << new):
+                g = Graph(k, base_edges + [(u, new) for u in range(new)
+                                           if subset >> u & 1])
+                seen.setdefault(canonical_key(g), g)
+        level = tuple(seen[key] for key in sorted(seen))
+    return level
 
 
 def reference_first_outside(g: Graph, kind_x: SearchKind, kind_y: SearchKind,

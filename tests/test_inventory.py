@@ -1,13 +1,23 @@
 """The canonical key against the product-of-permutations reference, and
-its invariance under relabeling past the exhaustive sizes."""
+its invariance under relabeling past the exhaustive sizes; the
+automorphisms it returns against brute force, and the inventory
+regenerated from orbit-minimal augmentations against the loop that keys
+every augmentation."""
+
+from itertools import permutations
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from searchorder import Graph
-from searchorder.inventory import canonical_key, connected_graphs
-from oracles import reference_canonical_key
-from smallgraphs import complete_bipartite, cycle, hypercube, relabeled
+from searchorder.graphs import twin_classes
+from searchorder.inventory import (_key_and_automorphisms,
+                                   _orbit_minimal_subsets, canonical_key,
+                                   connected_graphs)
+from oracles import reference_canonical_key, reference_connected_graphs
+from smallgraphs import (complete_bipartite, cycle, hypercube, petersen,
+                         relabeled)
 from strategies import random_graphs
 
 
@@ -43,3 +53,64 @@ def test_key_is_invariant_under_relabeling(g, rng):
     perm = list(range(g.n))
     rng.shuffle(perm)
     assert canonical_key(relabeled(g, perm)) == canonical_key(g)
+
+
+def _automorphisms(g):
+    """Every automorphism of g, by trying every permutation."""
+    edges = {frozenset(e) for e in g.edges()}
+    return [perm for perm in permutations(range(g.n))
+            if all(frozenset((perm[u], perm[v])) in edges
+                   for u, v in g.edges())]
+
+
+def _twin_swaps(g):
+    """The order of the twin-swap group: the product of the factorials
+    of the twin class sizes."""
+    return prod(factorial(mask.bit_count()) for mask in set(twin_classes(g.adj)))
+
+
+def _small_graphs():
+    return [g for n in range(1, 7) for g in connected_graphs(n)]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_inventory_equals_the_loop_that_keys_every_augmentation(n):
+    assert connected_graphs(n) == reference_connected_graphs(n)
+
+
+def _assert_automorphisms_cover_the_group(g, order):
+    key, images = _key_and_automorphisms(g)
+    assert key == canonical_key(g)
+    edges = {frozenset(e) for e in g.edges()}
+    for image in images:
+        assert sorted(image) == list(range(g.n))
+        assert {frozenset((image[u], image[v])) for u, v in g.edges()} == edges
+    assert (len(images) + 1) * _twin_swaps(g) == order
+
+
+def test_key_automorphisms_cover_the_group_on_every_graph_up_to_6():
+    for g in _small_graphs():
+        _assert_automorphisms_cover_the_group(g, len(_automorphisms(g)))
+
+
+@pytest.mark.parametrize("g, order", [(hypercube(3), 48), (cycle(8), 16),
+                                      (complete_bipartite(3, 4), 144),
+                                      (petersen(), 120)],
+                         ids=["Q3", "C8", "K3,4", "Petersen"])
+def test_key_automorphisms_cover_the_group_on_symmetric_graphs(g, order):
+    _assert_automorphisms_cover_the_group(g, order)
+
+
+def test_keyed_subsets_are_the_orbit_minima_up_to_6():
+    for g in _small_graphs():
+        autos = _automorphisms(g)
+        minima = {min(sum(1 << perm[v] for v in range(g.n) if subset >> v & 1)
+                      for perm in autos)
+                  for subset in range(1, 1 << g.n)}
+        assert _orbit_minimal_subsets(g) == sorted(minima)
+
+
+def test_keyed_subsets_per_level():
+    keyed = [sum(len(_orbit_minimal_subsets(parent))
+                 for parent in connected_graphs(n - 1)) for n in range(2, 8)]
+    assert keyed == [1, 2, 8, 44, 333, 3771]
