@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
 
-from .graphs import Graph, require_connected, twin_classes
-from .searches import (_STEPS, DEFAULT_WALK_CAP, InconsistentStateError,
-                       SearchKind, _root_key, candidate_mask, complete_prefix)
+from .graphs import Graph, require_connected
+from .searches import (DEFAULT_WALK_CAP, InconsistentStateError, SearchKind,
+                       first_outside)
 # Not called here, but importable as ``equivalence.enumerate_orderings``:
 # bench/spans.py rebinds that name to span the layer in traced runs.
 from .searches import enumerate_orderings  # noqa: F401
@@ -50,87 +50,12 @@ class EquivalenceReport:
         }
 
 
-# the twin classes of the last graph walked: check_theorem walks one graph
-# up to ten times, and a scan checks every theorem on it in a row
-_twins = lru_cache(maxsize=1)(twin_classes)
-
-
-def _first_outside(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
-                   cap: float) -> tuple[Optional[tuple[int, ...]], bool]:
-    """The lexicographically first kind_x ordering of g that is not a kind_y
-    ordering (None if there is none), and whether the walk stopped at the cap.
-
-    kind_x orderings lie within kind_y orderings iff, at every prefix both
-    can reach, kind_x's candidates are a subset of kind_y's.  The walk
-    visits those prefixes depth-first, trying kind_x's candidates in
-    ascending order.  The first candidate v that kind_y does not allow
-    makes every kind_x ordering through prefix + v a counterexample, and
-    completing it with min-index kind_x choices gives the first of them.
-
-    Each kind's candidates, here and below, depend only on its state key
-    (``searches._STEPS``), and either key fixes the unvisited vertices, so
-    prefixes with equal pairs (kind_x's key, kind_y's key) root identical
-    walk subtrees, and a pair walked before is not walked again.  A pair
-    never recurs inside its own subtree, whose unvisited sets are smaller,
-    so a pair met again roots a subtree already walked to the end without
-    a counterexample.  ``cap`` bounds the distinct pairs walked; the walk
-    stops before the next one, and then its verdict is not established.
-
-    Twins are walked once.  If v < w are unvisited twins (N(v) - {w} =
-    N(w) - {v}, ``graphs.twin_classes``), swapping them is an automorphism
-    of g that fixes the prefix.  Every kind's orderings are closed under
-    automorphisms, so kind_y allows w iff it allows v, and the subtree
-    below prefix + w is the image of the one below prefix + v.  A
-    counterexample returns at once, so when the frame holding w is popped
-    again, v's subtree has held none, and neither does w's: taking v
-    drops its twins from the frame's remaining candidates.  The first
-    counterexample stays the same.
-    """
-    if cap <= 0:
-        raise ValueError("cap must be positive")
-    n = g.n
-    if n == 0 or kind_x is kind_y:
-        return None, False  # a set lies within itself; nothing to walk
-    adj = g.adj
-    step_x = _STEPS[kind_x]
-    step_y = _STEPS[kind_y]
-    root = _root_key(n)
-    walked = {(root, root)}
-    # one frame per depth: a prefix, kind_x's candidates not yet tried
-    # there, kind_y's candidates and the two keys
-    stack = [((), candidate_mask(kind_x, adj, root),
-              candidate_mask(kind_y, adj, root), root, root)]
-    twins = _twins(adj)
-    while stack:
-        prefix, rest, allowed, key_x, key_y = stack.pop()
-        low = rest & -rest
-        v = low.bit_length() - 1
-        rest &= ~twins[v]  # v and its twins
-        if rest:
-            stack.append((prefix, rest, allowed, key_x, key_y))
-        prefix += (v,)
-        if not allowed & low:
-            return complete_prefix(kind_x, adj, prefix,
-                                   step_x(adj, key_x, v)), False
-        if len(prefix) == n:
-            continue
-        pair = key_x, key_y = step_x(adj, key_x, v), step_y(adj, key_y, v)
-        if pair in walked:
-            continue
-        if len(walked) >= cap:
-            return None, True
-        walked.add(pair)
-        stack.append((prefix, candidate_mask(kind_x, adj, key_x),
-                      candidate_mask(kind_y, adj, key_y), key_x, key_y))
-    return None, False
-
-
 def _one_direction(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
                    relation: str, cap: float) -> EquivalenceReport:
     """Is every kind_x ordering a kind_y ordering?  A counterexample is the
     lexicographically first one, with the validator's violating triple or
     vertex for it; the verdict is None if the walk stopped at the cap."""
-    ordering, truncated = _first_outside(g, kind_x, kind_y, cap)
+    ordering, truncated = first_outside(g, kind_x, kind_y, cap)
     if ordering is None:
         return EquivalenceReport(kind_x, kind_y, relation,
                                  None if truncated else True)

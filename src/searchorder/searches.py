@@ -1,14 +1,15 @@
-"""Executable search paradigms and exhaustive enumeration of their orderings.
+"""Executable search paradigms, exhaustive enumeration of their orderings,
+and the inclusion walk between two paradigms' orderings.
 
 Each paradigm is realized once, as a selection rule on the unvisited
-vertices: a state key, an ordered partition of those vertices stepped
-from parent to child (``_STEPS``), and a candidate rule that reads it; an
-ordering is produced by repeatedly picking one candidate.  Generic, BFS,
-DFS, LexBFS and LexDFS take the key's first class, as in partition
-refinement; MNS and MCS take from it, the fringe, the vertices whose
-visited neighbourhood is maximal.  The rules are *not* trusted: the test
-suite checks them exhaustively against the point-condition validators and
-against a reference that compares labels.
+vertices, one row of ``_KINDS``: a state key, an ordered partition of
+those vertices stepped from parent to child, and a candidate rule that
+reads it; an ordering is produced by repeatedly picking one candidate.
+Generic, BFS, DFS, LexBFS and LexDFS take the key's first class, as in
+partition refinement; MNS and MCS take from it, the fringe, the vertices
+whose visited neighbourhood is maximal.  The rules are *not* trusted: the
+test suite checks them exhaustively against the point-condition validators
+and against a reference that compares labels.
 """
 
 from __future__ import annotations
@@ -16,9 +17,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Optional
 
-from .graphs import Graph, bits, require_connected
+from .graphs import Graph, bits, require_connected, twin_classes
 
 
 class SearchKind(Enum):
@@ -29,10 +31,6 @@ class SearchKind(Enum):
     LEXDFS = "lexdfs"
     MNS = "mns"
     MCS = "mcs"
-
-    # Members are singletons compared by identity, so the identity hash
-    # agrees with equality; Enum's own hashes the name in Python code.
-    __hash__ = object.__hash__
 
     @classmethod
     def from_name(cls, name: str) -> "SearchKind":
@@ -129,23 +127,12 @@ def _lexdfs_step(adj, key, v):
     return (*ins, *outs)
 
 
-_STEPS = {
-    SearchKind.GENERIC: _reach_step,
-    SearchKind.BFS: _bfs_step,
-    SearchKind.DFS: _dfs_step,
-    SearchKind.LEXBFS: _lexbfs_step,
-    SearchKind.LEXDFS: _lexdfs_step,
-    SearchKind.MNS: _reach_step,
-    SearchKind.MCS: _reach_step,
-}
-
-
 # Candidate rules: each maps (adjacency masks, key) to the mask of
-# permitted next vertices.  Generic, BFS, DFS, LexBFS and LexDFS take the
-# key's first class.  MNS and MCS choose among the fringe, the first
-# class, by visited neighbourhood: a visited vertex is in neither the
-# first nor the last class, so ~(key[0] | key[-1]) masks a neighbourhood
-# to the visited set.
+# permitted next vertices, 0 once every vertex is visited.  Generic, BFS,
+# DFS, LexBFS and LexDFS take the key's first class.  MNS and MCS choose
+# among the fringe, the first class, by visited neighbourhood: a visited
+# vertex is in neither the first nor the last class, so ~(key[0] | key[-1])
+# masks a neighbourhood to the visited set.
 
 def _first_class(adj, key):
     return key[0] if key else 0
@@ -181,25 +168,16 @@ def _mcs(adj, key):
     return best
 
 
-_RULES = {
-    SearchKind.GENERIC: _first_class,
-    SearchKind.BFS: _first_class,
-    SearchKind.DFS: _first_class,
-    SearchKind.LEXBFS: _first_class,
-    SearchKind.LEXDFS: _first_class,
-    SearchKind.MNS: _mns,
-    SearchKind.MCS: _mcs,
+# kind -> (step, rule): a walk unpacks its kind's row once per call
+_KINDS = {
+    SearchKind.GENERIC: (_reach_step, _first_class),
+    SearchKind.BFS: (_bfs_step, _first_class),
+    SearchKind.DFS: (_dfs_step, _first_class),
+    SearchKind.LEXBFS: (_lexbfs_step, _first_class),
+    SearchKind.LEXDFS: (_lexdfs_step, _first_class),
+    SearchKind.MNS: (_reach_step, _mns),
+    SearchKind.MCS: (_reach_step, _mcs),
 }
-
-
-def candidate_mask(kind: SearchKind, adj: tuple[int, ...], key) -> int:
-    """The exact set of vertices the paradigm permits as the next choice
-    at a prefix whose key for ``kind`` is ``key``, as a bitmask; 0 once
-    every vertex is visited."""
-    rule = _RULES.get(kind)
-    if rule is None:
-        raise ValueError(f"unhandled search kind {kind}")
-    return rule(adj, key)
 
 
 # -- tie breaking ------------------------------------------------------
@@ -231,13 +209,13 @@ def complete_prefix(kind: SearchKind, adj: tuple[int, ...],
                     tiebreak: TieBreak = TieBreak()) -> tuple[int, ...]:
     """Extend the visited prefix, whose key for ``kind`` is ``key``, to a
     complete ordering, resolving every tie with the given tie-break."""
-    step = _STEPS[kind]
+    step, rule = _KINDS[kind]
     while len(prefix) < len(adj) - 1:
-        v = tiebreak.pick(candidate_mask(kind, adj, key), len(prefix))
+        v = tiebreak.pick(rule(adj, key), len(prefix))
         prefix += (v,)
         key = step(adj, key, v)
     # one vertex left at most: every kind's only candidate
-    last = candidate_mask(kind, adj, key)
+    last = rule(adj, key)
     return prefix + (last.bit_length() - 1,) if last else prefix
 
 
@@ -253,7 +231,7 @@ def run_search(g: Graph, kind: SearchKind, tiebreak: TieBreak = TieBreak(),
     key = _root_key(g.n)
     if start is not None:
         prefix = (start,)
-        key = _STEPS[kind](g.adj, key, start)
+        key = _KINDS[kind][0](g.adj, key, start)
     return complete_prefix(kind, g.adj, prefix, key, tiebreak)
 
 
@@ -280,7 +258,7 @@ def enumerate_orderings(g: Graph, kind: SearchKind,
     Every tie's candidates, the start included, are tried in ascending
     order, so the orderings come out lexicographically sorted.  Each kind
     keeps an ordered partition of the unvisited vertices as its state key
-    (``_STEPS``): (fringe, unreached) for Generic, MNS and MCS, fringe
+    (``_KINDS``): (fringe, unreached) for Generic, MNS and MCS, fringe
     classes then the unreached class for BFS and DFS, label classes for
     LexBFS and LexDFS.  A child's key is stepped from its parent's.
     Prefixes with equal keys root identical subtrees, so the orderings
@@ -300,7 +278,7 @@ def enumerate_orderings(g: Graph, kind: SearchKind,
     if n == 0:
         return EnumerationResult((), False)
     adj = g.adj
-    step = _STEPS[kind]
+    step, rule = _KINDS[kind]
     # key -> (first, end): found[first:end] are the orderings through the
     # first prefix walked with that key
     walked: dict[tuple[int, ...], tuple[int, int]] = {}
@@ -309,7 +287,7 @@ def enumerate_orderings(g: Graph, kind: SearchKind,
     # the key's one class), its candidates not yet tried, its key and where
     # its orderings start in ``found``; popped with no candidates left, its
     # subtree is done
-    stack = [((), key[0], candidate_mask(kind, adj, key), key, 0)]
+    stack = [((), key[0], rule(adj, key), key, 0)]
     while stack:
         prefix, unvisited, rest, key, first = stack.pop()
         if not rest:
@@ -333,8 +311,7 @@ def enumerate_orderings(g: Graph, kind: SearchKind,
         key = step(adj, key, v)
         span = walked.get(key)
         if span is None:
-            stack.append((prefix, unvisited, candidate_mask(kind, adj, key),
-                          key, len(found)))
+            stack.append((prefix, unvisited, rule(adj, key), key, len(found)))
             continue
         # an equal key leaves the same vertices unvisited, so the span's
         # orderings complete this prefix from the same depth on
@@ -344,3 +321,79 @@ def enumerate_orderings(g: Graph, kind: SearchKind,
         if stop < end:
             return EnumerationResult(tuple(found), True)
     return EnumerationResult(tuple(found), False)
+
+
+# -- inclusion walk ----------------------------------------------------
+
+# the twin classes of the last graph walked: check_theorem walks one graph
+# up to ten times, and a scan checks every theorem on it in a row
+_twins = lru_cache(maxsize=1)(twin_classes)
+
+
+def first_outside(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
+                  cap: float) -> tuple[Optional[tuple[int, ...]], bool]:
+    """The lexicographically first kind_x ordering of g that is not a kind_y
+    ordering (None if there is none), and whether the walk stopped at the cap.
+
+    kind_x orderings lie within kind_y orderings iff, at every prefix both
+    can reach, kind_x's candidates are a subset of kind_y's.  The walk
+    visits those prefixes depth-first, trying kind_x's candidates in
+    ascending order.  The first candidate v that kind_y does not allow
+    makes every kind_x ordering through prefix + v a counterexample, and
+    completing it with min-index kind_x choices gives the first of them.
+
+    Each kind's candidates, here and below, depend only on its state key
+    (``_KINDS``), and either key fixes the unvisited vertices, so prefixes
+    with equal pairs (kind_x's key, kind_y's key) root identical
+    walk subtrees, and a pair walked before is not walked again.  A pair
+    never recurs inside its own subtree, whose unvisited sets are smaller,
+    so a pair met again roots a subtree already walked to the end without
+    a counterexample.  ``cap`` bounds the distinct pairs walked; the walk
+    stops before the next one, and then its verdict is not established.
+
+    Twins are walked once.  If v < w are unvisited twins (N(v) - {w} =
+    N(w) - {v}, ``graphs.twin_classes``), swapping them is an automorphism
+    of g that fixes the prefix.  Every kind's orderings are closed under
+    automorphisms, so kind_y allows w iff it allows v, and the subtree
+    below prefix + w is the image of the one below prefix + v.  A
+    counterexample returns at once, so when the frame holding w is popped
+    again, v's subtree has held none, and neither does w's: taking v
+    drops its twins from the frame's remaining candidates.  The first
+    counterexample stays the same.
+    """
+    if cap <= 0:
+        raise ValueError("cap must be positive")
+    n = g.n
+    if n == 0 or kind_x is kind_y:
+        return None, False  # a set lies within itself; nothing to walk
+    adj = g.adj
+    step_x, rule_x = _KINDS[kind_x]
+    step_y, rule_y = _KINDS[kind_y]
+    root = _root_key(n)
+    walked = {(root, root)}
+    # one frame per depth: a prefix, kind_x's candidates not yet tried
+    # there, kind_y's candidates and the two keys
+    stack = [((), rule_x(adj, root), rule_y(adj, root), root, root)]
+    twins = _twins(adj)
+    while stack:
+        prefix, rest, allowed, key_x, key_y = stack.pop()
+        low = rest & -rest
+        v = low.bit_length() - 1
+        rest &= ~twins[v]  # v and its twins
+        if rest:
+            stack.append((prefix, rest, allowed, key_x, key_y))
+        prefix += (v,)
+        if not allowed & low:
+            return complete_prefix(kind_x, adj, prefix,
+                                   step_x(adj, key_x, v)), False
+        if len(prefix) == n:
+            continue
+        pair = key_x, key_y = step_x(adj, key_x, v), step_y(adj, key_y, v)
+        if pair in walked:
+            continue
+        if len(walked) >= cap:
+            return None, True
+        walked.add(pair)
+        stack.append((prefix, rule_x(adj, key_x), rule_y(adj, key_y),
+                      key_x, key_y))
+    return None, False

@@ -14,7 +14,7 @@ k-pan detectors; the latter lists every chordless cycle.
 trying every relabeling inside the refined color classes,
 ``reference_connected_graphs`` regenerates the inventory keying every
 augmentation, and ``reference_first_outside`` is the inclusion walk
-without twin pruning.
+``searches.first_outside`` without twin pruning.
 """
 
 from itertools import combinations, permutations, product
@@ -23,8 +23,7 @@ from searchorder import (C4, DIAMOND, P4, PAN, PAW, Graph, PatternHit,
                          PointViolation, SearchKind)
 from searchorder.graphs import bits
 from searchorder.inventory import canonical_key
-from searchorder.searches import (_STEPS, _root_key, candidate_mask,
-                                  complete_prefix)
+from searchorder.searches import _KINDS, _root_key, complete_prefix
 from smallgraphs import cycle, diamond, path, paw
 
 
@@ -413,18 +412,17 @@ def reference_connected_graphs(n: int) -> tuple:
 def reference_first_outside(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
                             cap: float):
     """The first kind_x ordering of g outside kind_y, or None, and whether
-    the walk stopped at the cap: ``equivalence._first_outside`` walking
+    the walk stopped at the cap: ``searches.first_outside`` walking
     every candidate, twins included, memoized on the pair of state keys."""
     n = g.n
     if n == 0 or kind_x is kind_y:
         return None, False
     adj = g.adj
-    step_x = _STEPS[kind_x]
-    step_y = _STEPS[kind_y]
+    step_x, rule_x = _KINDS[kind_x]
+    step_y, rule_y = _KINDS[kind_y]
     root = _root_key(n)
     walked = {(root, root)}
-    stack = [((), candidate_mask(kind_x, adj, root),
-              candidate_mask(kind_y, adj, root), root, root)]
+    stack = [((), rule_x(adj, root), rule_y(adj, root), root, root)]
     while stack:
         prefix, rest, allowed, key_x, key_y = stack.pop()
         low = rest & -rest
@@ -443,6 +441,6 @@ def reference_first_outside(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
         if len(walked) >= cap:
             return None, True
         walked.add(pair)
-        stack.append((prefix, candidate_mask(kind_x, adj, key_x),
-                      candidate_mask(kind_y, adj, key_y), key_x, key_y))
+        stack.append((prefix, rule_x(adj, key_x), rule_y(adj, key_y),
+                      key_x, key_y))
     return None, False

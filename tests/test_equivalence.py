@@ -22,11 +22,11 @@ from searchorder import (
     orderings_equal,
     orderings_subset,
 )
-from searchorder import equivalence
-from searchorder.equivalence import (_THEOREMS, _first_outside,
-                                     _one_direction)
-from searchorder.searches import (_STEPS, DEFAULT_WALK_CAP,
-                                  InconsistentStateError, _root_key)
+from searchorder import equivalence, searches
+from searchorder.equivalence import _THEOREMS, _one_direction
+from searchorder.searches import (_KINDS, DEFAULT_WALK_CAP,
+                                  InconsistentStateError, _root_key,
+                                  first_outside)
 from searchorder.validators import PointViolation
 from oracles import reference_first_outside
 from smallgraphs import (
@@ -330,8 +330,8 @@ def _key_pairs(g, orderings, kx, ky):
         pair = (_root_key(g.n), _root_key(g.n))
         for v in o:
             pairs.add(pair)
-            pair = (_STEPS[kx](g.adj, pair[0], v),
-                    _STEPS[ky](g.adj, pair[1], v))
+            pair = (_KINDS[kx][0](g.adj, pair[0], v),
+                    _KINDS[ky][0](g.adj, pair[1], v))
     return pairs
 
 
@@ -348,7 +348,7 @@ def test_walk_cap_is_a_threshold_in_search_states(graphs_upto_5):
                 k = len(_key_pairs(g, orderings, kx, ky))
                 first = next((o for o in orderings
                               if not is_search_ordering(g, o, ky)[0]), None)
-                got = [_first_outside(g, kx, ky, cap)
+                got = [first_outside(g, kx, ky, cap)
                        for cap in range(1, k + 2)]
                 t = next((cap for cap, result in enumerate(got, 1)
                           if result != (None, True)), k + 2)
@@ -360,17 +360,20 @@ def test_walk_cap_is_a_threshold_in_search_states(graphs_upto_5):
 def test_clique_walks_each_search_state_once(monkeypatch):
     """Every item holds on K7, so each walk covers its whole tree; walking
     each distinct search state once keeps the four theorems within 5,000
-    candidate calls, where walking every prefix takes 190,520.  The count
-    must be positive, or the walk no longer calls the name counted here."""
+    candidate rule calls, where walking every prefix takes 190,520.  The
+    count must be positive, or the walk no longer reads the rows counted
+    here."""
     calls = 0
-    real = equivalence.candidate_mask
 
-    def counted(*args):
-        nonlocal calls
-        calls += 1
-        return real(*args)
+    def counted(rule):
+        def call(adj, key):
+            nonlocal calls
+            calls += 1
+            return rule(adj, key)
+        return call
 
-    monkeypatch.setattr(equivalence, "candidate_mask", counted)
+    for kind, (step, rule) in list(_KINDS.items()):
+        monkeypatch.setitem(searches._KINDS, kind, (step, counted(rule)))
     for theorem in (THEOREM_A, THEOREM_B, THEOREM_C, COROLLARY_A5A6):
         assert check_theorem(complete(7), theorem).consistent
     assert 0 < calls <= 5_000
@@ -382,7 +385,7 @@ def test_walk_equals_the_unpruned_reference_up_to_6(graphs_upto_6):
     for g in graphs_upto_6:
         for kx in SearchKind:
             for ky in SearchKind:
-                assert _first_outside(g, kx, ky, math.inf) == \
+                assert first_outside(g, kx, ky, math.inf) == \
                     reference_first_outside(g, kx, ky, math.inf), (g, kx, ky)
 
 
@@ -425,7 +428,7 @@ def test_no_settled_verdict_differs_on_twin_rich_graphs(seed):
                 expected = reference_first_outside(g, kx, ky,
                                                    DEFAULT_WALK_CAP)
                 if not expected[1]:
-                    assert _first_outside(g, kx, ky, DEFAULT_WALK_CAP) == \
+                    assert first_outside(g, kx, ky, DEFAULT_WALK_CAP) == \
                         expected, (g, kx, ky)
 
 
@@ -437,7 +440,7 @@ def test_clique_settles_every_pair_within_n_key_pairs(n):
     g = complete(n)
     for kx in SearchKind:
         for ky in SearchKind:
-            assert _first_outside(g, kx, ky, n) == (None, False), (kx, ky)
+            assert first_outside(g, kx, ky, n) == (None, False), (kx, ky)
 
 
 def test_key_pairs_settle_what_the_full_key_could_not():

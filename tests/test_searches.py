@@ -13,7 +13,7 @@ from searchorder import (
     run_search,
 )
 from searchorder.graphs import bits
-from searchorder.searches import _STEPS, _root_key, candidate_mask
+from searchorder.searches import _KINDS, _root_key
 from oracles import ORACLES, reference_candidates
 from smallgraphs import complete, complete_bipartite, cycle, pan, path, paw, star
 from strategies import random_connected_graphs
@@ -25,8 +25,12 @@ def kind_key(kind, g, prefix):
     """The kind's key of ``prefix``, stepped along it from the root."""
     key = _root_key(g.n)
     for v in prefix:
-        key = _STEPS[kind](g.adj, key, v)
+        key = _KINDS[kind][0](g.adj, key, v)
     return key
+
+
+def candidate_mask(kind, adj, key):
+    return _KINDS[kind][1](adj, key)
 
 
 def candidates(kind, g, prefix):
@@ -80,7 +84,7 @@ def _keyed_prefixes(g):
             generic = keys[SearchKind.GENERIC]
             for v in bits(candidate_mask(SearchKind.GENERIC, g.adj, generic)):
                 stack.append((prefix + (v,),
-                              {kind: _STEPS[kind](g.adj, key, v)
+                              {kind: _KINDS[kind][0](g.adj, key, v)
                                for kind, key in keys.items()}))
 
 
@@ -371,7 +375,7 @@ def test_candidates_match_reference_past_exhaustive_sizes(g, rng):
 
 
 def _unshared_orderings(g, kind, cap):
-    """Depth-first over candidate_mask in ascending order, no memo, stopped
+    """Depth-first over the candidates in ascending order, no memo, stopped
     once ``cap + 1`` orderings are found."""
     found = []
     stack = [((), _root_key(g.n))]
@@ -380,7 +384,7 @@ def _unshared_orderings(g, kind, cap):
         if len(prefix) == g.n:
             found.append(prefix)
             continue
-        stack.extend((prefix + (v,), _STEPS[kind](g.adj, key, v)) for v in
+        stack.extend((prefix + (v,), _KINDS[kind][0](g.adj, key, v)) for v in
                      sorted(bits(candidate_mask(kind, g.adj, key)),
                             reverse=True))
     return tuple(found[:cap]), len(found) > cap

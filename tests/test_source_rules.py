@@ -2,7 +2,8 @@
 ``nonlocal``, no ``yield from``, and no function that calls itself, so
 that every walk is an explicit loop whose depth no input can overflow.
 ``inventory.connected_graphs`` is the one exception: it recurses on n,
-which is at most 9."""
+which is at most 9.  No module imports an underscore name from another
+package module, so what a module keeps private stays its own."""
 
 import ast
 from pathlib import Path
@@ -35,8 +36,16 @@ def _calls_itself(func, owners):
 
 
 def violations(tree, module):
-    """Each broken rule in a parsed module, as '<module>.<name> <what>'."""
+    """Each broken rule in a parsed module, as '<module>.<name> <what>' or
+    '<module> imports <name> from <module>'."""
     found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        source = "." * node.level + (node.module or "")
+        if node.level or source.split(".")[0] == "searchorder":
+            found += [f"{module} imports {alias.name} from {source}"
+                      for alias in node.names if alias.name.startswith("_")]
     functions = [(node, ()) for node in tree.body
                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
     for node in tree.body:
@@ -78,6 +87,10 @@ def test_package_source_keeps_the_rules():
      "m.f calls itself"),
     ("class C:\n    @classmethod\n    def f(cls, n):\n        return C.f(n)\n",
      "m.f calls itself"),
+    ("from .x import y, _z\n", "m imports _z from .x"),
+    ("from . import _x\n", "m imports _x from ."),
+    ("def f():\n    from searchorder.x import _y as y\n",
+     "m imports _y from searchorder.x"),
 ])
 def test_each_rule_is_caught(source, expected):
     assert expected in violations(ast.parse(source), "m")
@@ -86,4 +99,10 @@ def test_each_rule_is_caught(source, expected):
 def test_calls_of_other_names_pass():
     source = ("def f(g):\n    return g.f() + g(1)\n"
               "class C:\n    def f(self):\n        return f(self)\n")
+    assert violations(ast.parse(source), "m") == []
+
+
+def test_public_and_outside_imports_pass():
+    source = ("from __future__ import annotations\n"
+              "from os import _exit\nfrom .x import y as _y\n")
     assert violations(ast.parse(source), "m") == []
