@@ -8,17 +8,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Optional
 
 from .graphs import Graph, require_connected
-from .searches import (DEFAULT_WALK_CAP, InconsistentStateError, SearchKind,
-                       first_outside)
+from .searches import DEFAULT_WALK_CAP, SearchKind, first_outside
 # Not called here, but importable as ``equivalence.enumerate_orderings``:
 # bench/spans.py rebinds that name to span the layer in traced runs.
 from .searches import enumerate_orderings  # noqa: F401
 from .validators import PointViolation, is_search_ordering
-from .patterns import ClassLabel, recognize_structure
+from .patterns import recognize_structure
+
+
+class InconsistentStateError(RuntimeError):
+    """A candidate rule and its paradigm's validator disagree on an
+    ordering."""
 
 
 @dataclass(frozen=True)
@@ -161,13 +164,6 @@ class TheoremReport:
         }
 
 
-@lru_cache(maxsize=1)
-def _structure(g: Graph) -> ClassLabel:
-    """recognize_structure, remembered for the last graph: a scan checks
-    every theorem on one graph before it moves to the next."""
-    return recognize_structure(g)
-
-
 def check_theorem(g: Graph, theorem: str,
                   cap: int = DEFAULT_WALK_CAP) -> TheoremReport:
     """Compare a theorem's structural class prediction against the
@@ -176,7 +172,7 @@ def check_theorem(g: Graph, theorem: str,
         raise ValueError(f"unknown theorem {theorem!r}; one of {THEOREMS}")
     require_connected(g)
     flag, rows = _THEOREMS[theorem]
-    prediction = bool(getattr(_structure(g), flag))
+    prediction = bool(getattr(recognize_structure(g), flag))
     items = []
     reports = []
     for label, kx, ky, relation in rows:

@@ -12,6 +12,7 @@ paths exhaustively.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 from itertools import combinations, islice, permutations
 from typing import Optional
 
@@ -242,23 +243,6 @@ class ClassLabel:
         return asdict(self)
 
 
-def is_star(g: Graph) -> bool:
-    if g.n <= 2:
-        return True
-    centers = [v for v in range(g.n) if g.degree(v) == g.n - 1]
-    return (len(centers) == 1
-            and g.edge_count == g.n - 1)
-
-
-def is_clique(g: Graph) -> bool:
-    return all(g.degree(v) == g.n - 1 for v in range(g.n))
-
-
-def is_cycle_ge4(g: Graph) -> bool:
-    return (g.n >= 4 and is_connected(g)
-            and all(g.degree(v) == 2 for v in range(g.n)))
-
-
 def is_forest(g: Graph) -> bool:
     # acyclic iff every component has |edges| = |vertices| - 1
     components = 0
@@ -316,9 +300,11 @@ def is_trivially_perfect(g: Graph) -> bool:
     return True
 
 
+@lru_cache(maxsize=1)
 def recognize_structure(g: Graph) -> ClassLabel:
     """All structural flags at once; connectivity-dependent flags are None
-    on disconnected input."""
+    on disconnected input.  Remembered for the last graph: a scan checks
+    every theorem on one graph before it moves to the next."""
     connected = is_connected(g)
     forest = is_forest(g)
     triangle_free = is_triangle_free(g)
@@ -329,9 +315,13 @@ def recognize_structure(g: Graph) -> ClassLabel:
                           triangle_free=triangle_free,
                           trivially_perfect=None, class_a=None, class_b=None,
                           class_c=None)
-    star = is_star(g)
-    clique = is_clique(g)
-    cycle = is_cycle_ge4(g)
+    # connected: a tree with a vertex of degree n - 1 is a star, and a
+    # 2-regular graph is one cycle
+    n = g.n
+    degrees = {mask.bit_count() for mask in g.adj}
+    clique = degrees <= {n - 1}
+    star = n <= 2 or (forest and n - 1 in degrees)
+    cycle = n >= 4 and degrees == {2}
     tree = forest
     bipartite = is_complete_bipartite(g)
     multipartite = is_complete_multipartite(g)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Optional
 
 from .graphs import Graph, bits, require_connected, twin_classes
@@ -39,10 +38,6 @@ class SearchKind(Enum):
         except ValueError:
             valid = ", ".join(k.value for k in cls)
             raise ValueError(f"unknown search kind {name!r}; one of: {valid}") from None
-
-
-class InconsistentStateError(RuntimeError):
-    pass
 
 
 # State keys: an ordered partition of the unvisited vertices, one per
@@ -82,14 +77,14 @@ def _bfs_step(adj, key, v):
 
 
 def _dfs_step(adj, key, v):
-    """(fringe classes by last visited neighbour, newest first, unreached
-    vertices): DFS takes the first class."""
-    # the classes are disjoint, so their sum is the unvisited set
-    new = adj[v] & sum(key)
-    keep = ~(new | 1 << v)
-    parts = [r for c in key[:-1] if (r := c & keep)]
-    unreached = key[-1] & keep
-    return (new, *parts, unreached) if new else (*parts, unreached)
+    """Fringe classes by last visited neighbour, newest first, then the
+    unreached vertices while any are left: v's unvisited neighbours, from
+    every class, merge into one new first class.  DFS takes the first
+    class."""
+    ins = []
+    outs = []
+    _split(adj, key, v, ins, outs)
+    return (sum(ins), *outs) if ins else tuple(outs)
 
 
 def _split(adj, key, v, ins, outs):
@@ -325,11 +320,6 @@ def enumerate_orderings(g: Graph, kind: SearchKind,
 
 # -- inclusion walk ----------------------------------------------------
 
-# the twin classes of the last graph walked: check_theorem walks one graph
-# up to ten times, and a scan checks every theorem on it in a row
-_twins = lru_cache(maxsize=1)(twin_classes)
-
-
 def first_outside(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
                   cap: float) -> tuple[Optional[tuple[int, ...]], bool]:
     """The lexicographically first kind_x ordering of g that is not a kind_y
@@ -374,7 +364,7 @@ def first_outside(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
     # one frame per depth: a prefix, kind_x's candidates not yet tried
     # there, kind_y's candidates and the two keys
     stack = [((), rule_x(adj, root), rule_y(adj, root), root, root)]
-    twins = _twins(adj)
+    twins = twin_classes(adj)
     while stack:
         prefix, rest, allowed, key_x, key_y = stack.pop()
         low = rest & -rest

@@ -23,10 +23,12 @@ from searchorder import (
     orderings_subset,
 )
 from searchorder import equivalence, searches
-from searchorder.equivalence import _THEOREMS, _one_direction
-from searchorder.searches import (_KINDS, DEFAULT_WALK_CAP,
-                                  InconsistentStateError, _root_key,
+from searchorder.equivalence import (_THEOREMS, InconsistentStateError,
+                                     _one_direction)
+from searchorder.searches import (_KINDS, DEFAULT_WALK_CAP, _root_key,
                                   first_outside)
+from searchorder.graphs import is_connected, twin_classes
+from searchorder.patterns import recognize_structure
 from searchorder.validators import PointViolation
 from oracles import reference_first_outside
 from smallgraphs import (
@@ -465,3 +467,34 @@ def test_validator_accepting_a_rejected_ordering_raises(monkeypatch):
     with pytest.raises(InconsistentStateError, match="validator accepts"):
         _one_direction(paw(), SearchKind.BFS, SearchKind.LEXBFS, "subset",
                        cap=100)
+
+
+_MEMOS = (is_connected, twin_classes, recognize_structure)
+
+
+def _memoized_results(g):
+    """Everything the three memos feed: the four theorem checks, the 49
+    walks, the class label and the twin classes."""
+    return ([check_theorem(g, theorem) for theorem in THEOREMS],
+            [first_outside(g, kx, ky, DEFAULT_WALK_CAP)
+             for kx in SearchKind for ky in SearchKind],
+            recognize_structure(g), twin_classes(g.adj))
+
+
+def test_memos_hold_one_graph_and_never_leak_between_graphs():
+    """is_connected, twin_classes and recognize_structure remember the last
+    graph only.  Interleaving two trees with equal vertex and edge counts
+    and a new graph equal to the first gives every result that a cleared
+    memo gives."""
+    assert [memo.cache_info().maxsize for memo in _MEMOS] == [1, 1, 1]
+    first = path(6)
+    equal = Graph(6, first.edges())
+    assert equal is not first and equal == first
+    order = (first, star(5), equal, first, equal, star(5))
+    remembered = [_memoized_results(g) for g in order]
+    fresh = []
+    for g in order:
+        for memo in _MEMOS:
+            memo.cache_clear()
+        fresh.append(_memoized_results(g))
+    assert remembered == fresh

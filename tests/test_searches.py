@@ -127,7 +127,7 @@ def test_kind_keys_are_sound(graphs_upto_6):
                     assert key == (everyone,)
                 elif kind in _REACH_KINDS:
                     assert key == (fringe, unvisited ^ fringe)
-                elif kind in (SearchKind.BFS, SearchKind.DFS):
+                elif kind is SearchKind.BFS:
                     assert key[-1] == unvisited ^ fringe
                     _assert_partition(key[:-1], fringe)
                 else:

@@ -3,7 +3,9 @@
 that every walk is an explicit loop whose depth no input can overflow.
 ``inventory.connected_graphs`` is the one exception: it recurses on n,
 which is at most 9.  No module imports an underscore name from another
-package module, so what a module keeps private stays its own."""
+package module, so what a module keeps private stays its own.  No
+module-level name is bound to ``lru_cache(...)(f)``: a memo sits on the
+definition of what it remembers, not on a caller's copy of it."""
 
 import ast
 from pathlib import Path
@@ -35,10 +37,25 @@ def _calls_itself(func, owners):
     return False
 
 
+def _wraps_in_lru_cache(value):
+    """Is ``value`` ``lru_cache(...)(f)``, bare or as ``functools.lru_cache``?"""
+    if not (isinstance(value, ast.Call) and isinstance(value.func, ast.Call)):
+        return False
+    maker = value.func.func
+    return (isinstance(maker, ast.Name) and maker.id == "lru_cache"
+            or isinstance(maker, ast.Attribute) and maker.attr == "lru_cache")
+
+
 def violations(tree, module):
     """Each broken rule in a parsed module, as '<module>.<name> <what>' or
     '<module> imports <name> from <module>'."""
     found = []
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)) and \
+                _wraps_in_lru_cache(node.value):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            found += [f"{module}.{target.id} wraps a function in lru_cache"
+                      for target in targets if isinstance(target, ast.Name)]
     for node in ast.walk(tree):
         if not isinstance(node, ast.ImportFrom):
             continue
@@ -91,6 +108,9 @@ def test_package_source_keeps_the_rules():
     ("from . import _x\n", "m imports _x from ."),
     ("def f():\n    from searchorder.x import _y as y\n",
      "m imports _y from searchorder.x"),
+    ("_f = lru_cache(maxsize=1)(f)\n", "m._f wraps a function in lru_cache"),
+    ("f: object = functools.lru_cache(None)(g)\n",
+     "m.f wraps a function in lru_cache"),
 ])
 def test_each_rule_is_caught(source, expected):
     assert expected in violations(ast.parse(source), "m")
@@ -99,6 +119,13 @@ def test_each_rule_is_caught(source, expected):
 def test_calls_of_other_names_pass():
     source = ("def f(g):\n    return g.f() + g(1)\n"
               "class C:\n    def f(self):\n        return f(self)\n")
+    assert violations(ast.parse(source), "m") == []
+
+
+def test_memo_on_the_definition_passes():
+    source = ("from functools import lru_cache\n"
+              "@lru_cache(maxsize=1)\ndef f(g):\n    return g\n"
+              "g = f(1)\n")
     assert violations(ast.parse(source), "m") == []
 
 
