@@ -143,8 +143,10 @@ def _mns(adj, key):
         groups[label] = groups.get(label, 0) | 1 << v
     best = 0
     for label, group in groups.items():
-        if not any(label != other and label | other == other
-                   for other in groups):
+        for other in groups:
+            if label != other and label | other == other:
+                break
+        else:
             best |= group
     return best
 
@@ -183,7 +185,9 @@ class TieBreak:
 
     ``pick`` takes the candidates as a bitmask.  ``seed is None`` picks the
     smallest; otherwise an RNG keyed by (seed, step, ascending candidates)
-    picks, so equal seeds give equal choices on identical states.
+    picks, so equal seeds give equal choices on identical states.  A step
+    with one candidate takes it without consulting the RNG: a choice from
+    one element is that element, so the ordering is the one the RNG gives.
     """
 
     seed: Optional[int] = None
@@ -193,7 +197,7 @@ class TieBreak:
         return cls(seed)
 
     def pick(self, mask: int, step: int) -> int:
-        if self.seed is None:
+        if self.seed is None or not mask & (mask - 1):
             return (mask & -mask).bit_length() - 1
         ordered = list(bits(mask))
         return random.Random(f"{self.seed}:{step}:{ordered}").choice(ordered)

@@ -22,10 +22,10 @@ def random_graphs(draw, min_n=8, max_n=13):
 
 
 @st.composite
-def random_connected_graphs(draw, min_n=8, max_n=14):
-    """A random spanning tree plus edges at a drawn density."""
+def random_connected_graphs(draw, min_n=8, max_n=14, min_density=0):
+    """A random spanning tree plus edges at a drawn density, in percent."""
     n = draw(st.integers(min_n, max_n))
-    density = draw(st.integers(0, 100))
+    density = draw(st.integers(min_density, 100))
     rng = draw(st.randoms(use_true_random=False))
     tree = [(rng.randrange(v), v) for v in range(1, n)]
     extra = [(u, v) for u, v in combinations(range(n), 2)

@@ -1,3 +1,5 @@
+import hashlib
+import random
 from itertools import permutations
 
 import pytest
@@ -217,6 +219,50 @@ class TestRunSearch:
             assert run_search(g, kind, tiebreak) == free, kind
             assert run_search(g, kind, tiebreak, start=4) == started, kind
 
+    def test_seeded_runs_are_pinned_at_scale(self):
+        """Seeded runs of every kind, from no start and from n - 1, on
+        random connected graphs with n = 16..48, where fringes hold many
+        label groups and real ties are common: the digest of every
+        ordering is fixed."""
+        rng = random.Random(16)
+        digest = hashlib.sha256()
+        for n in (16, 24, 32, 40, 48):
+            for p in (0.1, 0.3):
+                tree = [(rng.randrange(v), v) for v in range(1, n)]
+                extra = [(u, v) for u in range(n) for v in range(u + 1, n)
+                         if rng.random() < p]
+                g = Graph(n, tree + extra)
+                for kind in ALL_KINDS:
+                    for seed in (1, 7, 2026):
+                        for start in (None, n - 1):
+                            order = run_search(g, kind, TieBreak.seeded(seed),
+                                               start)
+                            digest.update(repr(order).encode())
+        assert digest.hexdigest() == ("20c3d3229e7c3edded71913b1e5fd30a"
+                                      "8c9be69fecee27a0dbec9b39cc0f042a")
+
+    def test_forced_steps_draw_no_rng(self, monkeypatch):
+        """A step with one candidate takes it without building an RNG; a
+        step with two or more builds exactly one."""
+        made = []
+
+        class CountingRandom(random.Random):
+            def __init__(self, *args):
+                made.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr("searchorder.searches.random.Random",
+                            CountingRandom)
+        for kind in ALL_KINDS:
+            assert run_search(path(30), kind, TieBreak.seeded(7), start=0) \
+                == tuple(range(30)), kind
+        assert made == []
+        g = complete(5)
+        order = run_search(g, SearchKind.BFS, TieBreak.seeded(7))
+        ties = sum(len(candidates(SearchKind.BFS, g, order[:depth])) > 1
+                   for depth in range(g.n))
+        assert len(made) == ties == 4
+
     def test_distinct_seeds_explore_distinct_orders(self):
         outcomes = {run_search(complete(5), SearchKind.BFS, TieBreak.seeded(s))
                     for s in range(30)}
@@ -372,6 +418,21 @@ def test_candidates_match_reference_past_exhaustive_sizes(g, rng):
             break
         options = sorted(candidates(SearchKind.GENERIC, g, prefix))
         prefix += (rng.choice(options),)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(random_connected_graphs(min_n=16, max_n=32, min_density=40),
+       st.integers(0, 2**32))
+def test_mns_mcs_match_reference_on_dense_graphs(g, seed):
+    """Dense graphs split the fringe into many visited-neighbourhood
+    groups: MNS and MCS agree with the reference at every prefix of a
+    seeded generic run, the empty and the complete one included."""
+    order = run_search(g, SearchKind.GENERIC, TieBreak.seeded(seed))
+    for depth in range(g.n + 1):
+        for kind in (SearchKind.MNS, SearchKind.MCS):
+            assert candidates(kind, g, order[:depth]) == \
+                reference_candidates(g, kind, order[:depth]), \
+                (g, kind, order[:depth])
 
 
 def _unshared_orderings(g, kind, cap):
