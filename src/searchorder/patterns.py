@@ -1,12 +1,15 @@
 """Forbidden-subgraph detectors and structural class recognition.
 
-The 4-vertex detectors scan the 4-subsets in order, O(n^4) when the
-pattern is absent.  The k-pan detector finds the shortest pan cycle k*
-by breadth-first search, then lists only the chordless cycles that can
-still close at length k*, so it stays fast where listing every chordless
-cycle is exponential, as on grids.  The structural recognizers are
-independent of the detectors, and the test suite cross-checks the two
-paths exhaustively.
+The 4-vertex detectors walk the pairs b < c of the radius-3 ball around
+each vertex a, over the vertices from a on, and find the first d by one
+mask per table row, so sparse graphs cost little; no 4-subset scan,
+which is O(n^4) when the pattern is absent.  Dense pattern-free graphs
+stay cubic: K100,100 takes 0.8-1.5 s per absent pattern.  The k-pan
+detector finds the shortest pan cycle k* by breadth-first search, then
+lists only the chordless cycles that can still close at length k*, so it
+stays fast where listing every chordless cycle is exponential, as on
+grids.  The structural recognizers are independent of the detectors, and
+the test suite cross-checks the two paths exhaustively.
 """
 
 from __future__ import annotations
@@ -35,18 +38,24 @@ _SMALL_PATTERN_EDGES = {
 }
 
 
-def _embedding_table(edges: frozenset) -> dict[int, tuple[int, ...]]:
-    """Induced-edge signature of a sorted 4-subset -> the lexicographically
-    first permutation ``p`` such that position ``i`` of the pattern maps to
-    the subset's ``p[i]``-th vertex.  Bit ``k`` of a signature is the
-    ``k``-th pair of ``combinations(range(4), 2)``."""
-    table: dict[int, tuple[int, ...]] = {}
+def _embedding_table(edges: frozenset) -> dict[int, tuple[tuple, ...]]:
+    """The rows that complete the first three vertices a < b < c of a
+    sorted 4-subset a, b, c, d to the pattern, keyed by the adjacencies
+    among them: bit 0 is ab, bit 1 ac and bit 2 bc.  A row
+    ``(fa, fb, fc, perm)`` gives the adjacencies ad, bd and cd as masks to
+    XOR a neighbourhood with, 0 for adjacent and -1 for not, and ``perm``
+    the lexicographically first permutation such that position ``i`` of
+    the pattern maps to the subset's ``perm[i]``-th vertex."""
+    first: dict[tuple[bool, ...], tuple[int, ...]] = {}
     for perm in permutations(range(4)):
         image = {frozenset((perm[i], perm[j])) for i, j in edges}
-        signature = sum(1 << k for k, pair in enumerate(combinations(range(4), 2))
-                        if frozenset(pair) in image)
-        table.setdefault(signature, perm)
-    return table
+        first.setdefault(tuple(frozenset(pair) in image
+                               for pair in combinations(range(4), 2)), perm)
+    table: dict[int, list[tuple]] = {}
+    for (ab, ac, ad, bc, bd, cd), perm in first.items():
+        table.setdefault(ab | ac << 1 | bc << 2, []).append(
+            (ad - 1, bd - 1, cd - 1, perm))  # True - 1 == 0, False - 1 == -1
+    return {key: tuple(rows) for key, rows in table.items()}
 
 
 _EMBEDDINGS = {name: _embedding_table(edges)
@@ -71,19 +80,50 @@ class PatternHit:
 
 
 def find_induced_small(g: Graph, pattern: str) -> Optional[PatternHit]:
-    """Lexicographically first induced embedding of a 4-vertex pattern."""
+    """Lexicographically first induced embedding of a 4-vertex pattern.
+
+    Every pattern is connected with diameter at most 3, so the first hit
+    a < b < c < d, as a sorted 4-subset, has b, c and d in the radius-3
+    ball around a over the vertices from a on.  For each b < c in that
+    ball, the adjacencies ab, ac and bc pick rows of ``_EMBEDDINGS``; a
+    row's d-mask is the ball after c, ANDed with N(a), N(b), N(c) or
+    their complements, and the least lowest bit over the rows is the
+    first d.  Rows with different adjacencies have disjoint d-masks, so
+    d picks the row, and with it the vertex order.
+    """
     try:
         table = _EMBEDDINGS[pattern]
     except KeyError:
         raise ValueError(f"unknown 4-vertex pattern {pattern!r}") from None
     adj = g.adj
-    for quad in combinations(range(g.n), 4):
-        a, b, c, d = quad
-        perm = table.get(adj[a] >> b & 1 | (adj[a] >> c & 1) << 1
-                         | (adj[a] >> d & 1) << 2 | (adj[b] >> c & 1) << 3
-                         | (adj[b] >> d & 1) << 4 | (adj[c] >> d & 1) << 5)
-        if perm is not None:
-            return PatternHit(pattern, tuple(quad[i] for i in perm))
+    for a in range(g.n - 3):
+        na = adj[a]
+        *_, ball = islice(balls(g, a, -1 << a), 4)
+        rest_b = ball ^ 1 << a
+        while rest_b:
+            low_b = rest_b & -rest_b
+            rest_b ^= low_b
+            nb = adj[low_b.bit_length() - 1]
+            ab = 1 if na & low_b else 0
+            rest_c = ball & -(low_b << 1)
+            while rest_c:
+                low_c = rest_c & -rest_c
+                rest_c ^= low_c  # now the ball after c
+                rows = table.get(ab | (2 if na & low_c else 0)
+                                 | (4 if nb & low_c else 0))
+                if not rows:
+                    continue
+                nc = adj[low_c.bit_length() - 1]
+                d = found = 0
+                for fa, fb, fc, perm in rows:
+                    mask = rest_c & (na ^ fa) & (nb ^ fb) & (nc ^ fc)
+                    low = mask & -mask
+                    if low and (not d or low < d):
+                        d, found = low, perm
+                if d:
+                    quad = (a, low_b.bit_length() - 1, low_c.bit_length() - 1,
+                            d.bit_length() - 1)
+                    return PatternHit(pattern, tuple(quad[i] for i in found))
     return None
 
 
@@ -180,22 +220,28 @@ def find_induced_pan(g: Graph) -> Optional[PatternHit]:
     return PatternHit(PAN, best, k=k)
 
 
-def _best_pendant(adj: list[int], cycle: tuple[int, ...], cycle_mask: int,
+def _best_pendant(adj: tuple[int, ...], cycle: tuple[int, ...],
+                  cycle_mask: int,
                   best: Optional[tuple[int, ...]]) -> Optional[tuple[int, ...]]:
     """The smaller of ``best`` and the smallest tuple ``cycle`` gives: the
     cycle rotated to start at a pendant's attachment vertex, then that
-    pendant, over every vertex adjacent to exactly one cycle vertex."""
-    near = 0
+    pendant, over every vertex adjacent to exactly one cycle vertex.  Such
+    a tuple starts with its attachment, so the cycle's smallest comes from
+    its least attachment with a pendant and that attachment's least
+    pendant, and attachments past ``best[0]`` cannot win."""
+    once = twice = 0  # the vertices adjacent to at least one, two cycle vertices
     for v in cycle:
-        near |= adj[v]
-    for p in bits(near & ~cycle_mask):
-        touched = adj[p] & cycle_mask
-        if touched & (touched - 1):
-            continue  # p touches two cycle vertices
-        i = cycle.index(touched.bit_length() - 1)
-        hit = cycle[i:] + cycle[:i] + (p,)
-        if best is None or hit < best:
-            best = hit
+        twice |= once & adj[v]
+        once |= adj[v]
+    pendants = once & ~twice & ~cycle_mask
+    for v in bits(cycle_mask):
+        if best is not None and v > best[0]:
+            break
+        mine = adj[v] & pendants
+        if mine:
+            i = cycle.index(v)
+            hit = cycle[i:] + cycle[:i] + ((mine & -mine).bit_length() - 1,)
+            return hit if best is None or hit < best else best
     return best
 
 

@@ -1,5 +1,6 @@
 """Graphs deeper than Python's recursion limit, with too many chordless
-cycles to list, or with too many automorphisms to try or walk one by one.
+cycles to list, too many 4-subsets to scan, or too many automorphisms to
+try or walk one by one.
 
 Every traversal that follows the input's size is a loop, so a path or a
 clique of a thousand vertices is walked like a small one.
@@ -13,13 +14,15 @@ import sys
 
 import pytest
 
-from searchorder import (THEOREM_C, THEOREMS, Graph, SearchKind, check_theorem,
-                         enumerate_orderings, orderings_subset)
+from searchorder import (C4, DIAMOND, P4, PAW, THEOREM_C, THEOREMS, Graph,
+                         SearchKind, check_theorem, enumerate_orderings,
+                         find_induced_small, orderings_subset,
+                         paw_free_decomposition)
 from searchorder.cli import EXIT_OK, EXIT_TRUNCATED, main
 from searchorder.inventory import canonical_key
 from searchorder.patterns import PAN, PatternHit, find_induced_pan, recognize_structure
-from smallgraphs import (complete, complete_bipartite, cycle, grid, path,
-                         petersen, relabeled, star)
+from smallgraphs import (complete, complete_bipartite, complete_multipartite,
+                         cycle, grid, path, petersen, relabeled, star)
 
 
 def test_enumeration_of_a_1200_vertex_path_truncates():
@@ -50,6 +53,32 @@ def test_pan_search_runs_below_the_path_length_in_stack_depth():
     finally:
         sys.setrecursionlimit(limit)
     assert hit == PatternHit(PAN, (2, 0, 1, 3), k=3)
+
+
+DETECTOR_GRAPHS = {"K40,40": complete_bipartite(40, 40),
+                   "chord path": Graph(1200, path(1200).edges() + [(0, 2)]),
+                   "8x8 grid": grid(8, 8)}
+
+
+@pytest.mark.parametrize("name, pattern, vertices", [
+    ("K40,40", P4, None), ("K40,40", C4, (0, 40, 1, 41)),
+    ("K40,40", PAW, None), ("K40,40", DIAMOND, None),
+    ("chord path", P4, (0, 2, 3, 4)), ("chord path", C4, None),
+    ("chord path", PAW, (0, 1, 2, 3)), ("chord path", DIAMOND, None),
+    ("8x8 grid", P4, (0, 1, 2, 3)), ("8x8 grid", C4, (0, 1, 9, 8)),
+    ("8x8 grid", PAW, None), ("8x8 grid", DIAMOND, None)], ids=str)
+def test_small_pattern_detectors_on_large_graphs(name, pattern, vertices):
+    """K40,40 holds no P4, paw or diamond, the 1,200-vertex path with the
+    chord (0, 2) no C4 or diamond, and the 8 x 8 grid no paw or diamond:
+    a 4-subset scan would try 1.6 M, 8.6 * 10^10 and 0.6 M subsets.  The
+    hits are the ones that scan gives where it finishes."""
+    expected = vertices and PatternHit(pattern, vertices)
+    assert find_induced_small(DETECTOR_GRAPHS[name], pattern) == expected
+
+
+def test_k10_10_10_is_paw_free_and_complete_multipartite():
+    verdict = paw_free_decomposition(complete_multipartite(10, 10, 10))
+    assert verdict.verdict == "complete-multipartite"
 
 
 def test_cli_enumerates_a_1200_vertex_path_from_stdin(capsys, monkeypatch):

@@ -276,6 +276,15 @@ def test_detectors_and_recognizers_past_exhaustive_sizes(g):
     assert label.trivially_perfect == (p4 and c4)
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(random_graphs(min_n=14, max_n=20))
+def test_small_pattern_first_hits_past_13_vertices(g):
+    """Sparse draws have radius-3 balls smaller than the graph, and first
+    hits whose d lies past the first admissible row's."""
+    for pattern in (P4, C4, PAW, DIAMOND):
+        assert find_induced_small(g, pattern) == first_induced_small(g, pattern)
+
+
 class TestRecognizerEdgeCases:
     def test_edgeless_graph_is_not_complete_bipartite(self):
         assert not is_complete_bipartite(Graph(3))
