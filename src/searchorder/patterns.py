@@ -5,11 +5,13 @@ each vertex a, over the vertices from a on, and find the first d by one
 mask per table row, so sparse graphs cost little; no 4-subset scan,
 which is O(n^4) when the pattern is absent.  Dense pattern-free graphs
 stay cubic: K100,100 takes 0.8-1.5 s per absent pattern.  The k-pan
-detector finds the shortest pan cycle k* by breadth-first search, then
-lists only the chordless cycles that can still close at length k*, so it
-stays fast where listing every chordless cycle is exponential, as on
-grids.  The structural recognizers are independent of the detectors, and
-the test suite cross-checks the two paths exhaustively.
+detector first tries the triangles through each vertex in turn, one mask
+of pendants per triangle; without a 3-pan it finds the shortest pan
+cycle k* by breadth-first search, then lists only the chordless cycles
+that can still close at length k*, so it stays fast where listing every
+chordless cycle is exponential, as on grids.  The structural
+recognizers are independent of the detectors, and the test suite
+cross-checks the two paths exhaustively.
 """
 
 from __future__ import annotations
@@ -127,14 +129,50 @@ def find_induced_small(g: Graph, pattern: str) -> Optional[PatternHit]:
     return None
 
 
+def _least_3_pan(adj: tuple[int, ...]) -> Optional[tuple[int, ...]]:
+    """The smallest 3-pan tuple: a triangle in cyclic order from its least
+    vertex, rotated to start at the attachment a, then the least pendant.
+    Every tuple starts with its a, so the first a with any 3-pan gives
+    it.  A triangle a, u, v with u < v has the pendants
+    N(a) - N[u] - N[v]; a u with N(a) inside N[u] has none, which keeps
+    cliques quadratic."""
+    for a, na in enumerate(adj):
+        best = None
+        rest_u = na
+        while rest_u:
+            low_u = rest_u & -rest_u
+            rest_u ^= low_u
+            nu = adj[low_u.bit_length() - 1]
+            outside = na & ~nu & ~low_u  # N(a) - N[u]
+            if not outside:
+                continue
+            rest_v = na & nu & -(low_u << 1)  # the v > u
+            while rest_v:
+                low_v = rest_v & -rest_v
+                rest_v ^= low_v
+                pendants = outside & ~adj[low_v.bit_length() - 1]
+                if pendants:
+                    u, v = low_u.bit_length() - 1, low_v.bit_length() - 1
+                    hit = ((a, v, u) if u < a < v else (a, u, v)) + (
+                        (pendants & -pendants).bit_length() - 1,)
+                    if best is None or hit < best:
+                        best = hit
+        if best is not None:
+            return best
+    return None
+
+
 def _shortest_pan_cycle(g: Graph) -> Optional[int]:
-    """The shortest cycle of any induced pan of g, or None if g has none.
+    """The shortest cycle of any induced pan of g, or None if g has none;
+    g must hold no 3-pan.
 
     A k-pan with pendant p on a is a chordless cycle through a that avoids
-    N[p] except at a.  Through a's neighbours b and c outside N[p], that
-    cycle is the triangle a, b, c if b ~ c; otherwise its shortest length
+    N[p] except at a.  Through a's neighbours b and c outside N[p], which
+    are not adjacent (that would be a 3-pan), the cycle's shortest length
     is 2 plus the distance from b to c over vertices outside N[a] and N[p]
-    (a shortest path is chordless, and its interior misses N(a)).
+    (a shortest path is chordless, and its interior misses N(a)).  The
+    ends b are walked from the top down, so the c > b are met by one mask,
+    the union of their neighbourhoods.
     """
     adj = g.adj
     best = None
@@ -142,19 +180,21 @@ def _shortest_pan_cycle(g: Graph) -> Optional[int]:
         for p in bits(adj[a]):
             ends = adj[a] & ~adj[p] & ~(1 << p)
             inner = ~(adj[a] | adj[p])
-            for b in bits(ends):
-                far = ends & -(2 << b)  # the possible c > b
-                if not far:
-                    break
-                if adj[b] & far:
-                    return 3
-                # the ball of radius r around b closes cycles of length r + 3
-                for r, ball in enumerate(balls(g, b, inner | 1 << b)):
-                    if best is not None and r + 3 >= best:
-                        break
-                    if any(adj[c] & ball for c in bits(far)):
-                        best = r + 3
-                        break
+            touch = 0  # N(c) over the ends c above b
+            while ends:
+                b = ends.bit_length() - 1
+                ends ^= 1 << b
+                if touch:
+                    # the ball of radius r around b closes cycles of length r + 3
+                    for r, ball in enumerate(balls(g, b, inner | 1 << b)):
+                        if best is not None and r + 3 >= best:
+                            break
+                        if touch & ball:
+                            if r == 1:
+                                return 4  # nothing shorter remains
+                            best = r + 3
+                            break
+                touch |= adj[b]
     return best
 
 
@@ -164,7 +204,9 @@ def find_induced_pan(g: Graph) -> Optional[PatternHit]:
     the one with the shortest cycle, and among those the one whose
     ``vertices`` tuple is lexicographically smallest.
 
-    Two steps.  First the shortest pan cycle k*, by at most one
+    Three steps.  First the 3-pans, by ``_least_3_pan``: one mask per
+    triangle a, u, v through each a, and none past the first a that has
+    one.  Without a 3-pan, the shortest pan cycle k*, by at most one
     breadth-first search per (a, p, b) of ``_shortest_pan_cycle``: about
     m * maxdeg searches of O(n + m) each.  Then the chordless cycles of
     length k*, each listed once (smallest vertex s first, second vertex
@@ -177,10 +219,13 @@ def find_induced_pan(g: Graph) -> Optional[PatternHit]:
     polynomial for a fixed k*, though it can still grow exponentially
     with k*.
     """
+    adj = g.adj
+    triangle = _least_3_pan(adj)
+    if triangle is not None:
+        return PatternHit(PAN, triangle, k=3)
     k = _shortest_pan_cycle(g)
     if k is None:
         return None
-    adj = g.adj
     best = None  # the smallest (rotated cycle + pendant) tuple so far
     for s in range(g.n):
         if best is not None and best[0] < s:

@@ -98,6 +98,16 @@ def test_pan_search_on_the_8x8_grid():
     assert find_induced_pan(grid(8, 8)) == PatternHit(PAN, (1, 2, 10, 9, 0), k=4)
 
 
+@pytest.mark.parametrize("g", [complete_multipartite(33, 33, 34),
+                               complete_bipartite(40, 40), complete(200)],
+                         ids=["K33,33,34", "K40,40", "K200"])
+def test_dense_pan_free_graphs(g):
+    """Connected complete multipartite graphs hold no pan.  K200 costs
+    O(n^2), as N(a) lies inside N[u] for every edge au; K33,33,34 and
+    K40,40 cost O(n^3) mask steps."""
+    assert find_induced_pan(g) is None
+
+
 def test_cli_classifies_the_8x8_grid(capsys, monkeypatch):
     edges = "".join(f"{u} {v}\n" for u, v in grid(8, 8).edges())
     monkeypatch.setattr("sys.stdin", io.StringIO(edges))

@@ -130,6 +130,48 @@ class TestPanDetector:
         hit = find_induced_pan(parse_graph6("ElGO"))
         assert hit == PatternHit(PAN, (2, 3, 0, 1, 4), k=4)
 
+    def test_3_pan_attached_at_the_least_triangle_vertex(self):
+        """Pendant 0 on 2, in the triangles 1, 2, 4 and 2, 3, 5: the tuples
+        (2, 4, 1, 0) and (2, 3, 5, 0), both from 2."""
+        g = Graph(6, [(0, 2), (1, 2), (1, 4), (2, 4), (2, 3), (2, 5), (3, 5)])
+        hit = find_induced_pan(g)
+        assert hit == PatternHit(PAN, (2, 3, 5, 0), k=3) == first_induced_pan(g)
+
+    def test_3_pan_attached_at_the_middle_triangle_vertex(self):
+        """Pendant 0 on 3, in the triangles 1, 3, 4 and 3, 5, 6: rotated to
+        start at 3, the first reads (3, 4, 1), before (3, 5, 6)."""
+        g = Graph(7, [(0, 2), (0, 3), (1, 3), (1, 4), (3, 4), (3, 5), (3, 6),
+                      (5, 6)])
+        hit = find_induced_pan(g)
+        assert hit == PatternHit(PAN, (3, 4, 1, 0), k=3) == first_induced_pan(g)
+
+    def test_3_pan_attached_at_the_largest_triangle_vertex(self):
+        """5 lies in the triangles 1, 2, 5, which reads (5, 1, 2) from 5,
+        3, 5, 8 and 5, 6, 7; its least pendant off the first is 3.  The
+        triangles 0, 1, 2 and 1, 2, 5 have no pendant on 0, 1 or 2."""
+        g = Graph(9, [(0, 1), (0, 2), (1, 2), (1, 5), (2, 5), (3, 5), (3, 8),
+                      (5, 8), (4, 5), (5, 6), (5, 7), (6, 7)])
+        hit = find_induced_pan(g)
+        assert hit == PatternHit(PAN, (5, 1, 2, 3), k=3) == first_induced_pan(g)
+
+    def test_triangles_without_a_3_pan_and_a_4_pan(self):
+        """A diamond on 0..3, whose triangles have no pendant, beside a
+        4-cycle 4..7 with the pendant 8 on 4.  A connected graph with a
+        triangle and no 3-pan is complete multipartite, hence pan-free
+        (Olariu), so the two sit in separate components."""
+        g = Graph(9, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3),
+                      (4, 5), (5, 6), (6, 7), (4, 7), (4, 8)])
+        hit = find_induced_pan(g)
+        assert hit == PatternHit(PAN, (4, 5, 6, 7, 8), k=4) == first_induced_pan(g)
+
+    def test_triangles_without_a_3_pan_and_a_5_pan(self):
+        """K4 on 0..3 beside a 5-cycle 4..8 with the pendant 9 on 6: the
+        shortest pan cycle has 5 vertices, not 4."""
+        g = Graph(10, list(combinations(range(4), 2))
+                  + [(4, 5), (5, 6), (6, 7), (7, 8), (4, 8), (6, 9)])
+        hit = find_induced_pan(g)
+        assert hit == PatternHit(PAN, (6, 7, 8, 4, 5, 9), k=5) == first_induced_pan(g)
+
     def test_first_hit_on_the_inventory(self, graphs_upto_7):
         """The whole hit, k and vertices, equals the one found over every
         chordless cycle, on all 996 connected graphs with n <= 7.  They
