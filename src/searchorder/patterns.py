@@ -6,12 +6,14 @@ mask per table row, so sparse graphs cost little; no 4-subset scan,
 which is O(n^4) when the pattern is absent.  Dense pattern-free graphs
 stay cubic: K100,100 takes 0.8-1.5 s per absent pattern.  The k-pan
 detector first tries the triangles through each vertex in turn, one mask
-of pendants per triangle; without a 3-pan it finds the shortest pan
-cycle k* by breadth-first search, then lists only the chordless cycles
+of pendants per triangle.  Without a 3-pan, a connected graph is
+paw-free, and one with a triangle is then complete multipartite (Olariu
+1988), which holds no pan; otherwise it finds the shortest pan cycle k*
+by breadth-first search, then lists only the chordless cycles
 that can still close at length k*, so it stays fast where listing every
 chordless cycle is exponential, as on grids.  The structural
-recognizers are independent of the detectors, and the test suite
-cross-checks the two paths exhaustively.
+recognizers use no detector, and the test suite cross-checks the two
+paths exhaustively.
 """
 
 from __future__ import annotations
@@ -206,9 +208,12 @@ def find_induced_pan(g: Graph) -> Optional[PatternHit]:
 
     Three steps.  First the 3-pans, by ``_least_3_pan``: one mask per
     triangle a, u, v through each a, and none past the first a that has
-    one.  Without a 3-pan, the shortest pan cycle k*, by at most one
-    breadth-first search per (a, p, b) of ``_shortest_pan_cycle``: about
-    m * maxdeg searches of O(n + m) each.  Then the chordless cycles of
+    one.  A connected graph without a 3-pan is paw-free, so by Olariu
+    (1988) it is triangle-free or complete multipartite, and the latter
+    holds no pan: a triangle ends the search there.  Otherwise the
+    shortest pan cycle k*, by at most one breadth-first search per
+    (a, p, b) of ``_shortest_pan_cycle``: about m * maxdeg searches of
+    O(n + m) each.  Then the chordless cycles of
     length k*, each listed once (smallest vertex s first, second vertex
     smaller than the last) by extending chordless paths from s over the
     vertices after s, and each tried with every pendant.  A path is cut
@@ -223,6 +228,10 @@ def find_induced_pan(g: Graph) -> Optional[PatternHit]:
     triangle = _least_3_pan(adj)
     if triangle is not None:
         return PatternHit(PAN, triangle, k=3)
+    if is_connected(g) and not is_triangle_free(g):
+        # complete multipartite (Olariu 1988), so every induced subgraph
+        # is too, and no pan is
+        return None
     k = _shortest_pan_cycle(g)
     if k is None:
         return None
@@ -344,50 +353,29 @@ def is_forest(g: Graph) -> bool:
     return g.edge_count == g.n - components
 
 
-def is_complete_bipartite(g: Graph) -> bool:
-    """Vertex 0's neighbourhood is one side and the other vertices the
-    other: every vertex must be adjacent to exactly the opposite side.
-    Both sides are non-empty, so the graph is connected."""
-    if g.n <= 1:
-        return True
-    side = g.adj[0]
-    rest = ((1 << g.n) - 1) & ~side
-    return side != 0 and all(g.adj[v] == (rest if side >> v & 1 else side)
-                             for v in range(g.n))
-
-
 def is_complete_multipartite(g: Graph) -> bool:
     """Non-adjacent vertices have equal neighbourhoods.  Non-adjacency is
     then transitive, so the complement is a disjoint union of cliques."""
     adj = g.adj
-    return all(adj[u] == adj[v] for u, v in combinations(range(g.n), 2)
-               if not adj[u] >> v & 1)
+    return all(adj[u] == adj[v] for v in range(g.n)
+               for u in bits(~adj[v] & ((1 << v) - 1)))
 
 
 def is_triangle_free(g: Graph) -> bool:
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            if g.adj[u] >> v & 1 and g.adj[u] & g.adj[v]:
-                return False
-    return True
+    adj = g.adj
+    return not any(adj[u] & adj[v] for u in range(g.n)
+                   for v in bits(adj[u] & -(2 << u)))
 
 
 def is_trivially_perfect(g: Graph) -> bool:
-    """Universal-vertex peeling: every connected induced piece must have a
-    universal vertex."""
-    work = [(1 << g.n) - 1]  # vertex sets still to peel
-    while work:
-        mask = work.pop()
-        rest = mask
-        while rest:
-            comp = component_mask(g, (rest & -rest).bit_length() - 1, mask)
-            if comp.bit_count() > 1:
-                universal = next((v for v in bits(comp)
-                                  if g.adj[v] & comp == comp & ~(1 << v)), None)
-                if universal is None:
-                    return False
-                work.append(comp & ~(1 << universal))
-            rest &= ~comp
+    """Every edge uv has N[u] inside N[v] or N[v] inside N[u] (Golumbic
+    1978): the closed neighbourhoods along each edge are nested."""
+    closed = [mask | 1 << v for v, mask in enumerate(g.adj)]
+    for u, cu in enumerate(closed):
+        for v in bits(cu & -(2 << u)):
+            both = cu & closed[v]
+            if both != cu and both != closed[v]:
+                return False
     return True
 
 
@@ -414,8 +402,10 @@ def recognize_structure(g: Graph) -> ClassLabel:
     star = n <= 2 or (forest and n - 1 in degrees)
     cycle = n >= 4 and degrees == {2}
     tree = forest
-    bipartite = is_complete_bipartite(g)
     multipartite = is_complete_multipartite(g)
+    # a complete multipartite graph without a triangle has at most two
+    # parts, and it is connected
+    bipartite = multipartite and triangle_free
     tp = is_trivially_perfect(g)
     return ClassLabel(
         star=star, clique=clique, cycle_ge4=cycle, tree=tree, forest=forest,

@@ -10,6 +10,9 @@ the candidates the package reads from its per-kind state keys,
 point-condition validator, and ``first_induced_small`` and
 ``first_induced_pan`` the brute-force references for its 4-vertex and
 k-pan detectors; the latter lists every chordless cycle.
+``reference_trivially_perfect`` peels a universal vertex off every
+connected piece, and ``reference_complete_bipartite`` splits a connected
+graph at vertex 0's neighbourhood.
 ``reference_canonical_key`` computes the inventory's canonical key by
 trying every relabeling inside the refined color classes,
 ``reference_connected_graphs`` regenerates the inventory keying every
@@ -21,7 +24,7 @@ from itertools import combinations, permutations, product
 
 from searchorder import (C4, DIAMOND, P4, PAN, PAW, Graph, PatternHit,
                          PointViolation, SearchKind)
-from searchorder.graphs import bits
+from searchorder.graphs import bits, component_mask
 from searchorder.inventory import canonical_key
 from searchorder.searches import _KINDS, _root_key, complete_prefix
 from smallgraphs import cycle, diamond, path, paw
@@ -337,6 +340,36 @@ def first_induced_pan(g: Graph):
             if best is None or (hit.k, hit.vertices) < (best.k, best.vertices):
                 best = hit
     return best
+
+
+def reference_trivially_perfect(g: Graph) -> bool:
+    """Universal-vertex peeling: every connected induced piece must have a
+    universal vertex."""
+    work = [(1 << g.n) - 1]  # vertex sets still to peel
+    while work:
+        mask = work.pop()
+        rest = mask
+        while rest:
+            comp = component_mask(g, (rest & -rest).bit_length() - 1, mask)
+            if comp.bit_count() > 1:
+                universal = next((v for v in bits(comp)
+                                  if g.adj[v] & comp == comp & ~(1 << v)), None)
+                if universal is None:
+                    return False
+                work.append(comp & ~(1 << universal))
+            rest &= ~comp
+    return True
+
+
+def reference_complete_bipartite(g: Graph) -> bool:
+    """For connected graphs: vertex 0's non-neighbors (plus 0 itself) must
+    form one independent side, the neighbors the other, with every cross
+    pair an edge."""
+    side0 = {0} | {v for v in range(1, g.n) if not g.has_edge(0, v)}
+    side1 = set(range(g.n)) - side0
+    return (all(not g.has_edge(u, v) for u in side0 for v in side0 if u < v)
+            and all(not g.has_edge(u, v) for u in side1 for v in side1 if u < v)
+            and all(g.has_edge(u, v) for u in side0 for v in side1))
 
 
 def _reference_refined_colors(g: Graph) -> list[int]:

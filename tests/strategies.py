@@ -8,6 +8,7 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from searchorder import Graph
+from searchorder.graphs import bits
 
 
 @st.composite
@@ -31,3 +32,24 @@ def random_connected_graphs(draw, min_n=8, max_n=14, min_density=0):
     extra = [(u, v) for u, v in combinations(range(n), 2)
              if rng.randrange(100) < density]
     return Graph(n, tree + extra)
+
+
+@st.composite
+def rooted_forest_closures(draw, min_n=8, max_n=30):
+    """A random rooted forest with each vertex joined to all its
+    ancestors, which is trivially perfect, with or without one extra
+    edge.  Each vertex's parent lies among the first ``span`` vertices,
+    so a span of 1 with one root gives a star, which is complete
+    bipartite."""
+    n = draw(st.integers(min_n, max_n))
+    roots = draw(st.integers(1, 3))
+    span = draw(st.integers(1, n))
+    rng = draw(st.randoms(use_true_random=False))
+    ancestors = [0] * n
+    for v in range(roots, n):
+        parent = rng.randrange(min(v, span))
+        ancestors[v] = ancestors[parent] | 1 << parent
+    edges = [(u, v) for v in range(n) for u in bits(ancestors[v])]
+    if draw(st.booleans()):
+        edges.append(tuple(rng.sample(range(n), 2)))
+    return Graph(n, edges)

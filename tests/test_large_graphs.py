@@ -103,8 +103,10 @@ def test_pan_search_on_the_8x8_grid():
                          ids=["K33,33,34", "K40,40", "K200"])
 def test_dense_pan_free_graphs(g):
     """Connected complete multipartite graphs hold no pan.  K200 costs
-    O(n^2), as N(a) lies inside N[u] for every edge au; K33,33,34 and
-    K40,40 cost O(n^3) mask steps."""
+    O(n^2), as N(a) lies inside N[u] for every edge au, and K33,33,34
+    O(n^3) mask steps for its triangles; with a triangle and no 3-pan,
+    both then stop (Olariu).  Triangle-free K40,40 costs O(n^3) mask
+    steps in the search for the shortest pan cycle."""
     assert find_induced_pan(g) is None
 
 

@@ -20,9 +20,11 @@ from searchorder import (
     recognize_structure,
 )
 from searchorder.patterns import (FORBIDDEN, find_forbidden,
-                                  is_complete_bipartite,
-                                  is_complete_multipartite, is_forest)
-from oracles import SMALL_PATTERNS, first_induced_pan, first_induced_small
+                                  is_complete_multipartite, is_forest,
+                                  is_trivially_perfect)
+from oracles import (SMALL_PATTERNS, first_induced_pan, first_induced_small,
+                     reference_complete_bipartite,
+                     reference_trivially_perfect)
 from smallgraphs import (
     complete,
     complete_bipartite,
@@ -33,7 +35,7 @@ from smallgraphs import (
     sixcycle_with_handle,
     star,
 )
-from strategies import random_graphs
+from strategies import random_graphs, rooted_forest_closures
 
 
 class TestSmallPatternDetector:
@@ -164,6 +166,15 @@ class TestPanDetector:
         hit = find_induced_pan(g)
         assert hit == PatternHit(PAN, (4, 5, 6, 7, 8), k=4) == first_induced_pan(g)
 
+    def test_a_triangle_beside_a_4_pan(self):
+        """K3 on 0..2 beside a 4-cycle 3..6 with the pendant 7 on 3: the
+        graph has a triangle and no 3-pan, but it is not connected, so
+        Olariu's theorem does not end the search."""
+        g = Graph(8, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (6, 3),
+                      (3, 7)])
+        hit = find_induced_pan(g)
+        assert hit == PatternHit(PAN, (3, 4, 5, 6, 7), k=4) == first_induced_pan(g)
+
     def test_triangles_without_a_3_pan_and_a_5_pan(self):
         """K4 on 0..3 beside a 5-cycle 4..8 with the pendant 9 on 6: the
         shortest pan cycle has 5 vertices, not 4."""
@@ -244,6 +255,7 @@ class TestRecognizers:
         label = recognize_structure(Graph(4, [(0, 1), (2, 3)]))
         assert label.class_a is None and label.class_b is None
         assert label.class_c is None and label.star is None
+        assert label.complete_bipartite is None
         assert label.forest is True
 
     def test_class_a_implies_class_b_and_c(self, graphs_upto_7):
@@ -328,12 +340,6 @@ def test_small_pattern_first_hits_past_13_vertices(g):
 
 
 class TestRecognizerEdgeCases:
-    def test_edgeless_graph_is_not_complete_bipartite(self):
-        assert not is_complete_bipartite(Graph(3))
-
-    def test_2k2_is_not_complete_bipartite(self):
-        assert not is_complete_bipartite(Graph(4, [(0, 1), (2, 3)]))
-
     def test_disconnected_forest(self):
         assert is_forest(Graph(6, [(0, 1), (1, 2), (3, 4)]))
 
@@ -363,16 +369,24 @@ class TestPawFreeDecomposition:
 
 
 def test_complete_bipartite_recognizer(graphs_upto_6):
-    """Independent oracle for connected graphs: vertex 0's non-neighbors
-    (plus 0 itself) must form one independent side, the neighbors the
-    other, with every cross pair an edge."""
     for g in graphs_upto_6:
-        if g.n == 1:
-            continue
-        side0 = {0} | {v for v in range(1, g.n) if not g.has_edge(0, v)}
-        side1 = set(range(g.n)) - side0
-        expected = (
-            all(not g.has_edge(u, v) for u in side0 for v in side0 if u < v)
-            and all(not g.has_edge(u, v) for u in side1 for v in side1 if u < v)
-            and all(g.has_edge(u, v) for u in side0 for v in side1))
-        assert is_complete_bipartite(g) == expected, g
+        assert (recognize_structure(g).complete_bipartite
+                == reference_complete_bipartite(g)), g
+
+
+def test_trivially_perfect_against_the_peel_on_every_labelled_graph_upto_6():
+    """About 34,000 graphs, disconnected ones included."""
+    for n in range(7):
+        for g in _all_graphs(n):
+            assert is_trivially_perfect(g) == reference_trivially_perfect(g), g
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(rooted_forest_closures())
+def test_trivially_perfect_and_complete_bipartite_past_exhaustive_sizes(g):
+    """A forest's closure is trivially perfect, a one-root closure of
+    depth one is a star, and one extra edge may break either."""
+    assert is_trivially_perfect(g) == reference_trivially_perfect(g)
+    bipartite = recognize_structure(g).complete_bipartite
+    if bipartite is not None:  # connected
+        assert bipartite == reference_complete_bipartite(g)
