@@ -3,11 +3,15 @@
 BFS, DFS, LexBFS, LexDFS and MNS are decided by their three-point
 characterizations (plus the generic prefix condition); generic search by
 the prefix condition alone; MCS, which has no point condition here, by
-step-by-step simulation.  These validators are the oracles every
-executor in this package is tested against, so they read the conditions
-directly off adjacency bitmasks: the point conditions are a scan over
-position pairs (a, b) whose candidates for c, and the c that violate the
-clause, are found with mask operations instead of a loop over every c.
+simulating its maximum-cardinality choice.  These validators are the
+oracles every executor in this package is tested against, so they read the
+conditions directly off adjacency bitmasks.  BFS, DFS and MNS are decided
+by sweeps of a few mask operations per vertex (one mask of violating b per
+a for BFS and DFS, one mask of violating a per b for MNS), and MCS by
+buckets of the unvisited vertices per count of visited neighbours.  LexBFS
+and LexDFS scan position pairs (a, b), and find the c that violate the
+clause with mask operations.  Positions are walked only to name the first
+violation in (pos a, pos b, pos c) order, by bisecting the prefix masks.
 
 An ordering is a tuple of vertex indices.  Each public function checks
 once, on entry, that the ordering it is given is a permutation of the
@@ -17,6 +21,7 @@ graph's vertices, and hands the checked tuple to private deciders.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence, Union
 
 from .graphs import Graph, bits, require_connected
@@ -58,116 +63,210 @@ def is_generic_order(g: Graph, sigma) -> tuple[bool, Optional[int]]:
 
     Returns (verdict, first offending vertex or None).
     """
-    return _generic(g, _as_ordering(g, sigma))
+    offender, _ = _generic(g, _as_ordering(g, sigma))
+    return offender is None, offender
 
 
-def _generic(g: Graph, order: tuple[int, ...]) -> tuple[bool, Optional[int]]:
+def _generic(g: Graph, order: tuple[int, ...]) -> tuple[Optional[int], list[int]]:
+    """The first non-first vertex with no earlier neighbour (None if there
+    is none), and prefix[i] = bitmask of the first i vertices of the
+    ordering, filled up to that vertex."""
+    adj = g.adj
+    prefix = [0] * (len(order) + 1)
     seen = 0
     for i, v in enumerate(order):
-        if i > 0 and not g.adj[v] & seen:
-            return False, v
+        if i and not adj[v] & seen:
+            return v, prefix
         seen |= 1 << v
-    return True, None
+        prefix[i + 1] = seen
+    return None, prefix
+
+
+def _first(prefix: list[int], mask: int) -> int:
+    """The first position of sigma whose vertex is in ``mask``, found by
+    bisecting the prefix masks."""
+    lo, hi = 0, len(prefix) - 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if prefix[mid + 1] & mask:
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
+def _mns_violation(adj, order, prefix):
+    """For each b, tail = the c after b adjacent to every earlier neighbour
+    of b; (a, b, c) violates iff a is an earlier non-neighbour of b and c is
+    in N(a) & tail.  The b are swept in order, keeping the earliest a found
+    so far, so a later b is looked at only for an earlier a, and only for
+    one with a neighbour after b: on a star, whose tails are long, that
+    leaves none."""
+    n = len(order)
+    # later[j] = the vertices with a neighbour after position j
+    later = [0] * n
+    for j in range(n - 1, 0, -1):
+        later[j - 1] = later[j] | adj[order[j]]
+    before = prefix[n]    # the a still worth finding
+    hit = None
+    for j in range(1, n):
+        b = order[j]
+        others = prefix[j] & before & later[j] & ~adj[b]
+        if not others:
+            continue
+        tail = prefix[n] ^ prefix[j + 1]
+        ds = adj[b] & prefix[j]
+        while ds and tail:
+            low = ds & -ds
+            tail &= adj[low.bit_length() - 1]
+            ds ^= low
+        reach = 0    # the vertices adjacent to some c in tail
+        cs = tail
+        while cs:
+            low = cs & -cs
+            reach |= adj[low.bit_length() - 1]
+            cs ^= low
+        if reach & others:
+            i = _first(prefix, reach & others)
+            before = prefix[i]
+            hit = i, j, tail
+    if hit is None:
+        return None
+    i, j, tail = hit
+    a = order[i]
+    return a, order[j], order[_first(prefix, adj[a] & tail)]
+
+
+def _bfs_violation(adj, order, prefix):
+    """For each a, bs = the vertices after a adjacent neither to a nor to
+    any vertex before a.  a takes part in a violation iff the first b in bs
+    comes before a's last neighbour, and then every neighbour of a after
+    that b is a violating c."""
+    n = len(order)
+    reach = 0    # the vertices adjacent to a or to a vertex before a
+    for i in range(n):
+        a = order[i]
+        reach |= adj[a]
+        after = prefix[n] ^ prefix[i + 1]
+        bs = after & ~reach
+        if bs and adj[a] & after:
+            j = _first(prefix, bs)
+            cs = adj[a] & ~prefix[j + 1]
+            if cs:
+                return a, order[j], order[_first(prefix, cs)]
+    return None
+
+
+def _dfs_violation(adj, order, prefix):
+    """For each a, bs = the vertices after a that are not adjacent to a and
+    have no neighbour between a and themselves.  a takes part in a violation
+    iff the first b in bs comes before a's last neighbour, and then every
+    neighbour of a after that b is a violating c."""
+    n = len(order)
+    # free[i] = the vertices after position i with no earlier neighbour
+    # after position i
+    free = [0] * n
+    for i in range(n - 1, 0, -1):
+        v = order[i]
+        free[i - 1] = 1 << v | free[i] & ~adj[v]
+    for i in range(n):
+        a = order[i]
+        bs = free[i] & ~adj[a]
+        if bs:
+            j = _first(prefix, bs)
+            cs = adj[a] & ~prefix[j + 1]
+            if cs:
+                return a, order[j], order[_first(prefix, cs)]
+    return None
+
+
+def _lex_violation(between, adj, order, prefix):
+    """Scan the position pairs (a, b): the c that violate are the neighbours
+    of a after b adjacent to every d in the clause's range with db an edge,
+    which is before a (LexBFS) or between a and b (LexDFS)."""
+    n = len(order)
+    for i in range(n):
+        a = order[i]
+        na = adj[a]
+        x_start = ~prefix[i + 1] if between else -1
+        for j in range(i + 1, n):
+            # bad = the neighbours of a after b: the candidates for c
+            bad = na & ~prefix[j + 1]
+            if not bad:
+                break
+            b = order[j]
+            if na >> b & 1:
+                continue
+            for d in bits(adj[b] & x_start & (prefix[j] if between else prefix[i])):
+                bad &= adj[d]
+                if not bad:
+                    break
+            if bad:
+                return a, b, order[_first(prefix, bad)]
+    return None
 
 
 # The point condition of each kind: for a <s b <s c with ac an edge and ab
-# a non-edge, some d in X with db an edge (and, for the Lex kinds and MNS,
-# dc a non-edge) must exist.  X is a prefix of sigma given by where it ends
-# (at a or at b) and whether it starts after a.  Per kind: (X ends at b,
-# X starts after a, the clause also needs dc a non-edge, the clause's text).
+# a non-edge, some vertex d with db an edge must exist in the kind's range
+# (and, for the Lex kinds and MNS, with dc a non-edge).  Per kind: the
+# clause's text, and the function of (adj, order, prefix) that finds its
+# first violation.
 _CLAUSES = {
-    SearchKind.BFS: (False, False, False, "no d before a with db an edge"),
-    SearchKind.DFS: (True, True, False, "no d between a and b with db an edge"),
-    SearchKind.LEXBFS: (False, False, True,
-                        "no d before a with db an edge and dc a non-edge"),
-    SearchKind.LEXDFS: (True, True, True,
-                        "no d between a and b with db an edge and dc a non-edge"),
-    SearchKind.MNS: (True, False, True,
-                     "no d before b with db an edge and dc a non-edge"),
+    SearchKind.BFS: ("no d before a with db an edge", _bfs_violation),
+    SearchKind.DFS: ("no d between a and b with db an edge", _dfs_violation),
+    SearchKind.LEXBFS: ("no d before a with db an edge and dc a non-edge",
+                        partial(_lex_violation, False)),
+    SearchKind.LEXDFS: ("no d between a and b with db an edge and dc a non-edge",
+                        partial(_lex_violation, True)),
+    SearchKind.MNS: ("no d before b with db an edge and dc a non-edge", _mns_violation),
 }
 
 
 def check_point_condition(g: Graph, sigma,
                           kind: SearchKind) -> tuple[bool, Optional[PointViolation]]:
-    """Scan the position pairs i < j for a violation of the kind's
-    three-point condition.  The first violation in (pos a, pos b, pos c)
-    order is reported."""
-    return _point(g, _as_ordering(g, sigma), kind)
+    """Decide the kind's three-point condition, for any permutation (the
+    generic prefix condition is not checked); on failure, report the first
+    violation in (pos a, pos b, pos c) order."""
+    order = _as_ordering(g, sigma)
+    # prefix[i] = bitmask of the first i vertices of the ordering
+    prefix = [0] * (len(order) + 1)
+    for i, v in enumerate(order):
+        prefix[i + 1] = prefix[i] | 1 << v
+    return _point(g, order, prefix, kind)
 
 
-def _point(g: Graph, order: tuple[int, ...],
+def _point(g: Graph, order: tuple[int, ...], prefix: list[int],
            kind: SearchKind) -> tuple[bool, Optional[PointViolation]]:
     clause = _CLAUSES.get(kind)
     if clause is None:
         raise ValueError(f"{kind} has no point condition; use is_search_ordering")
-    upto_b, after_a, needs_non_edge, reason = clause
-    # When X is "before b" (MNS), D depends only on b, so the common
-    # neighbourhood of D is cached per position of b.
-    per_b = upto_b and not after_a
-    n = g.n
-    adj = g.adj
-    # prefix[i] = bitmask of the first i vertices of sigma
-    prefix = [0] * (n + 1)
-    for i, v in enumerate(order):
-        prefix[i + 1] = prefix[i] | 1 << v
-    common_of_b = [None] * n
-    for i in range(n):
-        a = order[i]
-        na = adj[a]
-        x_start = ~prefix[i + 1] if after_a else -1
-        before_a = prefix[i]
-        for j in range(i + 1, n):
-            # cs = the neighbours of a after b: the candidates for c
-            cs = na & ~prefix[j + 1]
-            if not cs:
-                break
-            b = order[j]
-            if na >> b & 1:
-                continue
-            ds = adj[b] & x_start & (prefix[j] if upto_b else before_a)
-            # c violates iff no d in D = {d in X : db an edge} satisfies the
-            # clause: iff D is empty (BFS, DFS), or iff c is adjacent to
-            # every d in D (the Lex kinds and MNS)
-            if not needs_non_edge:
-                bad = 0 if ds else cs
-            elif per_b:
-                common = common_of_b[j]
-                if common is None:
-                    common = -1
-                    for d in bits(ds):
-                        common &= adj[d]
-                        if not common:
-                            break
-                    common_of_b[j] = common
-                bad = cs & common
-            else:
-                bad = cs
-                for d in bits(ds):
-                    bad &= adj[d]
-                    if not bad:
-                        break
-            if bad:
-                # the violating c that comes first in sigma
-                for k in range(j + 1, n):
-                    c = order[k]
-                    if bad >> c & 1:
-                        return False, PointViolation(a, b, c, kind, reason)
-    return True, None
+    reason, find = clause
+    hit = find(g.adj, order, prefix)
+    if hit is None:
+        return True, None
+    return False, PointViolation(*hit, kind, reason)
 
 
 def _is_mcs_order(g: Graph, order: tuple[int, ...]) -> tuple[bool, Optional[int]]:
-    """Simulate maximum-cardinality selection; witness is the first vertex
-    chosen while another unvisited vertex had strictly more visited
-    neighbors."""
-    visited = 0
-    unvisited = set(range(g.n))
+    """Maximum-cardinality selection: buckets[k] holds the unvisited
+    vertices with k visited neighbours, and the last bucket is never empty.
+    The witness is the first vertex visited outside the last bucket."""
+    adj = g.adj
+    buckets = [(1 << g.n) - 1]
     for v in order:
-        count = (g.adj[v] & visited).bit_count()
-        best = max((g.adj[u] & visited).bit_count() for u in unvisited)
-        if count < best:
+        if not buckets[-1] >> v & 1:
             return False, v
-        visited |= 1 << v
-        unvisited.remove(v)
+        buckets[-1] ^= 1 << v
+        # every unvisited neighbour of v moves up one bucket
+        up = 0
+        for k, bucket in enumerate(buckets):
+            moved = bucket & adj[v]
+            buckets[k] = bucket ^ moved | up
+            up = moved
+        if up:
+            buckets.append(up)
+        while buckets and not buckets[-1]:
+            buckets.pop()
     return True, None
 
 
@@ -176,11 +275,9 @@ def is_search_ordering(g: Graph, sigma,
     """Decide membership of sigma in the paradigm's set of orderings."""
     require_connected(g)
     order = _as_ordering(g, sigma)
-    generic_ok, offender = _generic(g, order)
-    if kind is SearchKind.GENERIC:
-        return generic_ok, offender
-    if not generic_ok:
-        return False, offender
+    offender, prefix = _generic(g, order)
+    if offender is not None or kind is SearchKind.GENERIC:
+        return offender is None, offender
     if kind is SearchKind.MCS:
         return _is_mcs_order(g, order)
-    return _point(g, order, kind)
+    return _point(g, order, prefix, kind)

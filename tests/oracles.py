@@ -6,8 +6,10 @@ partition refinement, label sets, counters).  They deliberately share no
 code with the package's point-condition validators or candidate-rule
 executors.  ``reference_candidates`` is the label-comparing reference for
 the candidates the package reads from its per-kind state keys,
-``reference_point_condition`` the triple-scan reference for its pair-scan
-point-condition validator, and ``first_induced_small`` and
+``reference_point_condition`` the triple-scan reference for its
+point-condition validators, ``reference_mcs_order`` the step-by-step
+maximum-cardinality simulation behind its MCS validator's witness, and
+``first_induced_small`` and
 ``first_induced_pan`` the brute-force references for its 4-vertex and
 k-pan detectors; the latter lists every chordless cycle.
 ``reference_trivially_perfect`` peels a universal vertex off every
@@ -156,6 +158,22 @@ def is_mcs_sim(g: Graph, order) -> bool:
         visited.add(v)
         unvisited.remove(v)
     return True
+
+
+def reference_mcs_order(g: Graph, order):
+    """Simulate maximum-cardinality selection on a generic ordering:
+    (verdict, the first vertex chosen while another unvisited vertex had
+    strictly more visited neighbours, or None)."""
+    visited = 0
+    unvisited = set(range(g.n))
+    for v in order:
+        count = (g.adj[v] & visited).bit_count()
+        best = max((g.adj[u] & visited).bit_count() for u in unvisited)
+        if count < best:
+            return False, v
+        visited |= 1 << v
+        unvisited.remove(v)
+    return True, None
 
 
 ORACLES = {

@@ -53,3 +53,15 @@ def rooted_forest_closures(draw, min_n=8, max_n=30):
     if draw(st.booleans()):
         edges.append(tuple(rng.sample(range(n), 2)))
     return Graph(n, edges)
+
+
+@st.composite
+def complete_bipartite_graphs(draw, max_small=4, max_large=20):
+    """K_{p,q} with p <= max_small (p = 1 gives a star), its vertices
+    relabelled at random, so each vertex of the large side has p
+    neighbours and the parts are not blocks of consecutive labels."""
+    p = draw(st.integers(1, max_small))
+    q = draw(st.integers(max(p, 2), max_large))
+    label = draw(st.permutations(range(p + q)))
+    return Graph(p + q, [(label[u], label[v]) for u in range(p)
+                         for v in range(p, p + q)])

@@ -13,7 +13,7 @@ from searchorder import (
     is_search_ordering,
     run_search,
 )
-from oracles import ORACLES, reference_point_condition
+from oracles import ORACLES, reference_mcs_order, reference_point_condition
 from smallgraphs import (
     MNS_NOT_MCS_BROKEN_EXAMPLE,
     MNS_NOT_MCS_EXAMPLES,
@@ -24,7 +24,7 @@ from smallgraphs import (
     paw,
     sixcycle_with_handle,
 )
-from strategies import random_connected_graphs
+from strategies import complete_bipartite_graphs, random_connected_graphs
 
 POINT_KINDS = [SearchKind.BFS, SearchKind.DFS, SearchKind.LEXBFS,
                SearchKind.LEXDFS, SearchKind.MNS]
@@ -215,8 +215,9 @@ class TestAgainstSimulationOracles:
 
 
 class TestAgainstReference:
-    """The pair scan must give the same verdict and the same first violation
-    as the triple scan it replaced."""
+    """The sweeps and the pair scan must give the same verdict and the same
+    first violation as the triple scan, and the MCS buckets the same
+    verdict and witness vertex as the step-by-step simulation."""
 
     def test_point_condition_matches_reference(self, graphs_upto_6):
         for g in graphs_upto_6:
@@ -225,17 +226,48 @@ class TestAgainstReference:
                     assert check_point_condition(g, p, kind) == \
                         reference_point_condition(g, p, kind), (g, p, kind)
 
+    def test_mcs_witness_matches_reference(self, graphs_upto_6):
+        for g in graphs_upto_6:
+            for p in permutations(range(g.n)):
+                if is_generic_order(g, p)[0]:
+                    assert is_search_ordering(g, p, SearchKind.MCS) == \
+                        reference_mcs_order(g, p), (g, p)
+
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None)
 @given(random_connected_graphs(8, 48), st.randoms(use_true_random=False),
        st.integers(0, 2**32))
 def test_point_condition_matches_reference_past_exhaustive_sizes(g, rng, seed):
     """A random permutation and the seeded search of every kind (Generic
-    included), so rejected and accepted orderings both occur."""
+    included), so rejected and accepted orderings both occur.  The seeded
+    searches are generic, so their MCS verdict and witness are checked
+    too."""
     shuffled = list(range(g.n))
     rng.shuffle(shuffled)
-    orderings = [shuffled] + [run_search(g, kind, TieBreak.seeded(seed))
-                              for kind in SearchKind]
+    seeded = [run_search(g, kind, TieBreak.seeded(seed)) for kind in SearchKind]
+    for sigma in [shuffled] + seeded:
+        for kind in POINT_KINDS:
+            assert check_point_condition(g, sigma, kind) == \
+                reference_point_condition(g, sigma, kind), (g, sigma, kind)
+    for sigma in seeded:
+        assert is_search_ordering(g, sigma, SearchKind.MCS) == \
+            reference_mcs_order(g, sigma), (g, sigma)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(st.one_of(random_connected_graphs(8, 30, min_density=50),
+                 complete_bipartite_graphs()),
+       st.randoms(use_true_random=False), st.integers(0, 2**32))
+def test_point_condition_on_dense_graphs_stars_and_complete_bipartite(g, rng, seed):
+    """The sweeps' edge cases: dense graphs; stars and K_{p,q}, where every
+    vertex of the large side has the same few neighbours, so MNS tails are
+    long; and random permutations, about half of them not generic, which
+    check_point_condition decides without the generic gate."""
+    orderings = [run_search(g, kind, TieBreak.seeded(seed)) for kind in SearchKind]
+    for _ in range(3):
+        shuffled = list(range(g.n))
+        rng.shuffle(shuffled)
+        orderings.append(shuffled)
     for sigma in orderings:
         for kind in POINT_KINDS:
             assert check_point_condition(g, sigma, kind) == \
