@@ -3,7 +3,7 @@ edge-list ingestion.
 
 Adjacency is kept as one bitmask per vertex (graphs here never exceed a
 few dozen vertices), which makes the candidate-set intersections in the
-search executors and the pair scans in the validators cheap.
+search executors and the mask sweeps in the validators cheap.
 """
 
 from __future__ import annotations

@@ -3,15 +3,14 @@
 BFS, DFS, LexBFS, LexDFS and MNS are decided by their three-point
 characterizations (plus the generic prefix condition); generic search by
 the prefix condition alone; MCS, which has no point condition here, by
-simulating its maximum-cardinality choice.  These validators are the
-oracles every executor in this package is tested against, so they read the
-conditions directly off adjacency bitmasks.  BFS, DFS and MNS are decided
-by sweeps of a few mask operations per vertex (one mask of violating b per
-a for BFS and DFS, one mask of violating a per b for MNS), and MCS by
-buckets of the unvisited vertices per count of visited neighbours.  LexBFS
-and LexDFS scan position pairs (a, b), and find the c that violate the
-clause with mask operations.  Positions are walked only to name the first
-violation in (pos a, pos b, pos c) order, by bisecting the prefix masks.
+buckets of the unvisited vertices per count of visited neighbours.  These
+validators are the oracles every executor in this package is tested
+against, so they read the conditions directly off adjacency bitmasks.
+BFS and DFS are decided by one mask of violating b per a.  LexBFS, LexDFS
+and MNS differ only in where the d of their shared clause may lie, so one
+sweep decides all three, shrinking a mask of candidate c per b at each d.
+The first violation in (pos a, pos b, pos c) order is reported, its c
+found by bisecting the prefix masks.
 
 An ordering is a tuple of vertex indices.  Each public function checks
 once, on entry, that the ordering it is given is a permutation of the
@@ -24,7 +23,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence, Union
 
-from .graphs import Graph, bits, require_connected
+from .graphs import Graph, require_connected
 from .searches import SearchKind
 
 
@@ -95,12 +94,16 @@ def _first(prefix: list[int], mask: int) -> int:
     return lo
 
 
-def _mns_violation(adj, order, prefix):
-    """For each b, tail = the c after b adjacent to every earlier neighbour
-    of b; (a, b, c) violates iff a is an earlier non-neighbour of b and c is
-    in N(a) & tail.  The b are swept in order, keeping the earliest a found
-    so far, so a later b is looked at only for an earlier a, and only for
-    one with a neighbour after b: on a star, whose tails are long, that
+def _label_violation(span, adj, order, prefix):
+    """The clause shared by LexBFS, LexDFS and MNS: some d with db an edge
+    and dc a non-edge, before a, between a and b, or before b (the span).
+    For each b, s starts as the vertices after b and shrinks to s & N(d) at
+    each such d; (a, b, c) violates iff a is an earlier non-neighbour of b
+    and c is in N(a) & s.  MNS shrinks s by every earlier neighbour of b
+    first; LexBFS walks the positions before b upward and LexDFS downward,
+    so each d shrinks s before the a it serves.  Sweeping b in order, the
+    earliest a found so far bounds the a looked for, and only the a with a
+    neighbour after b are looked for: on a star, whose s are long, that
     leaves none."""
     n = len(order)
     # later[j] = the vertices with a neighbour after position j
@@ -109,32 +112,43 @@ def _mns_violation(adj, order, prefix):
         later[j - 1] = later[j] | adj[order[j]]
     before = prefix[n]    # the a still worth finding
     hit = None
+    down = span == "between a and b"
     for j in range(1, n):
-        b = order[j]
-        others = prefix[j] & before & later[j] & ~adj[b]
+        ahead = before & later[j]
+        if not ahead:
+            break    # later[j] only shrinks as j grows
+        nb = adj[order[j]]
+        others = prefix[j] & ahead & ~nb
         if not others:
             continue
-        tail = prefix[n] ^ prefix[j + 1]
-        ds = adj[b] & prefix[j]
-        while ds and tail:
-            low = ds & -ds
-            tail &= adj[low.bit_length() - 1]
-            ds ^= low
-        reach = 0    # the vertices adjacent to some c in tail
-        cs = tail
-        while cs:
-            low = cs & -cs
-            reach |= adj[low.bit_length() - 1]
-            cs ^= low
-        if reach & others:
-            i = _first(prefix, reach & others)
-            before = prefix[i]
-            hit = i, j, tail
+        s = prefix[n] ^ prefix[j + 1]
+        if span == "before b":
+            ds = nb & prefix[j]
+            while ds and s:
+                low = ds & -ds
+                s &= adj[low.bit_length() - 1]
+                ds ^= low
+            if not s:
+                continue
+        for i in range(j - 1, -1, -1) if down else range(j):
+            x = order[i]
+            if others >> x & 1:
+                if adj[x] & s:
+                    before = prefix[i]
+                    hit = i, j, adj[x] & s
+                    if not down:
+                        break
+                others ^= 1 << x
+                if not others:
+                    break
+            elif nb >> x & 1:
+                s &= adj[x]
+                if not s:
+                    break
     if hit is None:
         return None
-    i, j, tail = hit
-    a = order[i]
-    return a, order[j], order[_first(prefix, adj[a] & tail)]
+    i, j, cs = hit
+    return order[i], order[j], order[_first(prefix, cs)]
 
 
 def _bfs_violation(adj, order, prefix):
@@ -180,32 +194,6 @@ def _dfs_violation(adj, order, prefix):
     return None
 
 
-def _lex_violation(between, adj, order, prefix):
-    """Scan the position pairs (a, b): the c that violate are the neighbours
-    of a after b adjacent to every d in the clause's range with db an edge,
-    which is before a (LexBFS) or between a and b (LexDFS)."""
-    n = len(order)
-    for i in range(n):
-        a = order[i]
-        na = adj[a]
-        x_start = ~prefix[i + 1] if between else -1
-        for j in range(i + 1, n):
-            # bad = the neighbours of a after b: the candidates for c
-            bad = na & ~prefix[j + 1]
-            if not bad:
-                break
-            b = order[j]
-            if na >> b & 1:
-                continue
-            for d in bits(adj[b] & x_start & (prefix[j] if between else prefix[i])):
-                bad &= adj[d]
-                if not bad:
-                    break
-            if bad:
-                return a, b, order[_first(prefix, bad)]
-    return None
-
-
 # The point condition of each kind: for a <s b <s c with ac an edge and ab
 # a non-edge, some vertex d with db an edge must exist in the kind's range
 # (and, for the Lex kinds and MNS, with dc a non-edge).  Per kind: the
@@ -215,10 +203,11 @@ _CLAUSES = {
     SearchKind.BFS: ("no d before a with db an edge", _bfs_violation),
     SearchKind.DFS: ("no d between a and b with db an edge", _dfs_violation),
     SearchKind.LEXBFS: ("no d before a with db an edge and dc a non-edge",
-                        partial(_lex_violation, False)),
+                        partial(_label_violation, "before a")),
     SearchKind.LEXDFS: ("no d between a and b with db an edge and dc a non-edge",
-                        partial(_lex_violation, True)),
-    SearchKind.MNS: ("no d before b with db an edge and dc a non-edge", _mns_violation),
+                        partial(_label_violation, "between a and b")),
+    SearchKind.MNS: ("no d before b with db an edge and dc a non-edge",
+                     partial(_label_violation, "before b")),
 }
 
 

@@ -215,9 +215,9 @@ class TestAgainstSimulationOracles:
 
 
 class TestAgainstReference:
-    """The sweeps and the pair scan must give the same verdict and the same
-    first violation as the triple scan, and the MCS buckets the same
-    verdict and witness vertex as the step-by-step simulation."""
+    """The sweeps must give the same verdict and the same first violation
+    as the triple scan, and the MCS buckets the same verdict and witness
+    vertex as the step-by-step simulation."""
 
     def test_point_condition_matches_reference(self, graphs_upto_6):
         for g in graphs_upto_6:
