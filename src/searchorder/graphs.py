@@ -175,13 +175,12 @@ def parse_edge_list(text: str) -> Graph:
     declared_n = None
     edges = []
     max_vertex = -1
-    saw_content = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
         tokens = stripped.split()
-        if not saw_content and tokens[0] == "n":
+        if declared_n is None and not edges and tokens[0] == "n":
             if len(tokens) != 2:
                 raise EdgeListParseError("malformed vertex-count line", line=lineno)
             try:
@@ -196,9 +195,7 @@ def parse_edge_list(text: str) -> Graph:
                     f"vertex count {declared_n} exceeds the limit "
                     f"{EDGE_LIST_MAX_VERTICES}", line=lineno)
             limit = declared_n
-            saw_content = True
             continue
-        saw_content = True
         if len(tokens) % 2:
             raise EdgeListParseError("odd number of vertex tokens", line=lineno)
         for i in range(0, len(tokens), 2):

@@ -97,8 +97,6 @@ def _key_and_automorphisms(g: Graph) -> tuple[tuple, list[list[int]]]:
     means no automorphism but the identity, and no twins.
     """
     n = g.n
-    if n <= 1:
-        return (n, 0), []
     adj = g.adj
     vertices = range(n)
     nbrs = [[u for u in vertices if mask >> u & 1] for mask in adj]

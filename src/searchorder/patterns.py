@@ -6,11 +6,11 @@ mask per table row, so sparse graphs cost little; no 4-subset scan,
 which is O(n^4) when the pattern is absent.  Dense pattern-free graphs
 stay cubic: K100,100 takes 0.8-1.5 s per absent pattern.  The k-pan
 detector first tries the triangles through each vertex in turn, one mask
-of pendants per triangle.  Without a 3-pan, a connected graph is
-paw-free, and one with a triangle is then complete multipartite (Olariu
-1988), which holds no pan; otherwise it finds the shortest pan cycle k*
-by breadth-first search, then lists only the chordless cycles
-that can still close at length k*, so it stays fast where listing every
+of pendants per triangle.  Without a 3-pan (a paw), each component is
+triangle-free or complete multipartite (Olariu 1988), which holds no
+pan, so over the vertices on no triangle it finds the shortest pan cycle
+k* by breadth-first search, then lists only the chordless cycles that
+can still close at length k*, so it stays fast where listing every
 chordless cycle is exponential, as on grids.  The structural
 recognizers use no detector, and the test suite cross-checks the two
 paths exhaustively.
@@ -164,23 +164,23 @@ def _least_3_pan(adj: tuple[int, ...]) -> Optional[tuple[int, ...]]:
     return None
 
 
-def _shortest_pan_cycle(g: Graph) -> Optional[int]:
+def _shortest_pan_cycle(g: Graph, free: int) -> Optional[int]:
     """The shortest cycle of any induced pan of g, or None if g has none;
-    g must hold no 3-pan.
+    ``free`` must be triangle-free components of g that hold every pan.
 
     A k-pan with pendant p on a is a chordless cycle through a that avoids
-    N[p] except at a.  Through a's neighbours b and c outside N[p], which
-    are not adjacent (that would be a 3-pan), the cycle's shortest length
-    is 2 plus the distance from b to c over vertices outside N[a] and N[p]
-    (a shortest path is chordless, and its interior misses N(a)).  The
-    ends b are walked from the top down, so the c > b are met by one mask,
-    the union of their neighbourhoods.
+    N[p] except at a.  Through a's neighbours b and c other than p, which
+    are outside N(p) and not adjacent (no triangle), the cycle's shortest
+    length is 2 plus the distance from b to c over vertices outside N[a]
+    and N[p] (a shortest path is chordless, and its interior misses N(a)).
+    The ends b are walked from the top down, so the c > b are met by one
+    mask, the union of their neighbourhoods.
     """
     adj = g.adj
     best = None
-    for a in range(g.n):
+    for a in bits(free):
         for p in bits(adj[a]):
-            ends = adj[a] & ~adj[p] & ~(1 << p)
+            ends = adj[a] & ~(1 << p)
             inner = ~(adj[a] | adj[p])
             touch = 0  # N(c) over the ends c above b
             while ends:
@@ -208,12 +208,13 @@ def find_induced_pan(g: Graph) -> Optional[PatternHit]:
 
     Three steps.  First the 3-pans, by ``_least_3_pan``: one mask per
     triangle a, u, v through each a, and none past the first a that has
-    one.  A connected graph without a 3-pan is paw-free, so by Olariu
-    (1988) it is triangle-free or complete multipartite, and the latter
-    holds no pan: a triangle ends the search there.  Otherwise the
-    shortest pan cycle k*, by at most one breadth-first search per
-    (a, p, b) of ``_shortest_pan_cycle``: about m * maxdeg searches of
-    O(n + m) each.  Then the chordless cycles of
+    one.  Without a 3-pan, each component of g is paw-free, so by Olariu
+    (1988) triangle-free or complete multipartite, and one of the latter
+    with a triangle has every vertex on a triangle and holds no pan: the
+    rest starts only from the vertices on no triangle, the triangle-free
+    components.  Next the shortest pan cycle k*, by at most one
+    breadth-first search per (a, p, b) of ``_shortest_pan_cycle``: about
+    m * maxdeg searches of O(n + m) each.  Then the chordless cycles of
     length k*, each listed once (smallest vertex s first, second vertex
     smaller than the last) by extending chordless paths from s over the
     vertices after s, and each tried with every pendant.  A path is cut
@@ -228,15 +229,18 @@ def find_induced_pan(g: Graph) -> Optional[PatternHit]:
     triangle = _least_3_pan(adj)
     if triangle is not None:
         return PatternHit(PAN, triangle, k=3)
-    if is_connected(g) and not is_triangle_free(g):
-        # complete multipartite (Olariu 1988), so every induced subgraph
-        # is too, and no pan is
-        return None
-    k = _shortest_pan_cycle(g)
+    free = 0  # the vertices on no triangle: their neighbourhood is independent
+    for v, nv in enumerate(adj):
+        rest = nv  # v's neighbours from the first on a triangle with v
+        while rest and not adj[(rest & -rest).bit_length() - 1] & nv:
+            rest &= rest - 1
+        if not rest:
+            free |= 1 << v
+    k = _shortest_pan_cycle(g, free)
     if k is None:
         return None
     best = None  # the smallest (rotated cycle + pendant) tuple so far
-    for s in range(g.n):
+    for s in bits(free):
         if best is not None and best[0] < s:
             break  # every later cycle, and its attachment, lies past s
         later = -(2 << s)
@@ -257,11 +261,13 @@ def find_induced_pan(g: Graph) -> Optional[PatternHit]:
             low = rest & -rest
             stack[-1] = rest ^ low
             w = low.bit_length() - 1
-            # w may touch the path only at its end, plus s when closing
-            others = adj[w] & path_mask & ~(1 << path[-1])
-            if others & ~(1 << s):
-                continue  # chord to an interior path vertex
-            if others:
+            # w touches the path s = p_0, ..., p_m (at most k* - 1
+            # vertices) at p_m, and elsewhere only at s: were p_i the last
+            # interior vertex it touched (i <= m - 2, no triangle), then
+            # p_i, ..., p_m, w would be a chordless cycle of at most k* - 1
+            # vertices with the pendant p_(i-1), since touching w would
+            # close a triangle: a pan shorter than k*.
+            if adj[w] & path_mask & ~(1 << path[-1]):
                 # w closes the cycle; one orientation per cycle, length k*
                 if len(path) + 1 == k and path[1] < w:
                     best = _best_pendant(adj, (*path, w), path_mask | low, best)

@@ -209,13 +209,11 @@ def complete_prefix(kind: SearchKind, adj: tuple[int, ...],
     """Extend the visited prefix, whose key for ``kind`` is ``key``, to a
     complete ordering, resolving every tie with the given tie-break."""
     step, rule = _KINDS[kind]
-    while len(prefix) < len(adj) - 1:
+    while len(prefix) < len(adj):
         v = tiebreak.pick(rule(adj, key), len(prefix))
         prefix += (v,)
         key = step(adj, key, v)
-    # one vertex left at most: every kind's only candidate
-    last = rule(adj, key)
-    return prefix + (last.bit_length() - 1,) if last else prefix
+    return prefix
 
 
 def run_search(g: Graph, kind: SearchKind, tiebreak: TieBreak = TieBreak(),
@@ -274,8 +272,6 @@ def enumerate_orderings(g: Graph, kind: SearchKind,
         raise ValueError("cap must be positive")
     found: list[tuple[int, ...]] = []
     n = g.n
-    if n == 0:
-        return EnumerationResult((), False)
     adj = g.adj
     step, rule = _KINDS[kind]
     # key -> (first, end): found[first:end] are the orderings through the
@@ -328,6 +324,8 @@ def first_outside(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
                   cap: float) -> tuple[Optional[tuple[int, ...]], bool]:
     """The lexicographically first kind_x ordering of g that is not a kind_y
     ordering (None if there is none), and whether the walk stopped at the cap.
+    g must be connected, which the callers in ``equivalence`` check: on a
+    disconnected g the walk can return a wrong ordering or raise.
 
     kind_x orderings lie within kind_y orderings iff, at every prefix both
     can reach, kind_x's candidates are a subset of kind_y's.  The walk

@@ -164,6 +164,40 @@ class TestValidate:
         assert (code, out) == (EXIT_PARSE, "")
         assert err == "error: labels file line 3: duplicate label 'x'\n"
 
+    def test_labels_file_skips_blank_and_comment_lines(self, tmp_path,
+                                                       capsys):
+        f = write(tmp_path, "g.g6", emit_graph6(paw()))
+        labels = write(tmp_path, "labels.txt",
+                       "# name index\na 0\n\n  \nb 1\n# the rest\nc 2\nd 3\n")
+        code, out, _ = run_cli(capsys, [
+            "validate", f, "--kind", "bfs", "--ordering", "c,a,d,b",
+            "--labels", labels, "--json"])
+        assert code == EXIT_OK
+        assert json.loads(out)["ordering"] == [2, 0, 3, 1]
+
+    @pytest.mark.parametrize("text, message", [
+        ("a 0\n# c\nb 1 2\n",
+         "labels file line 3: expected 'name index'"),
+        ("a 0\n\nb one\n", "labels file line 3: non-integer index 'one'")])
+    def test_bad_labels_line_exits_2(self, tmp_path, capsys, text, message):
+        f = write(tmp_path, "g.g6", emit_graph6(path(3)))
+        labels = write(tmp_path, "labels.txt", text)
+        code, out, err = run_cli(capsys, [
+            "validate", f, "--kind", "bfs", "--ordering", "a b 2",
+            "--labels", labels])
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == f"error: {message}\n"
+
+    def test_unknown_ordering_token_exits_2(self, tmp_path, capsys):
+        f = write(tmp_path, "g.g6", emit_graph6(path(3)))
+        labels = write(tmp_path, "labels.txt", "a 0\n")
+        code, out, err = run_cli(capsys, [
+            "validate", f, "--kind", "bfs", "--ordering", "a,q,2",
+            "--labels", labels])
+        assert (code, out) == (EXIT_PARSE, "")
+        assert err == ("error: ordering token 'q' is neither an integer "
+                       "nor a known label\n")
+
     def test_labels_and_graph_both_from_stdin_exits_2(self, capsys,
                                                       monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("Bw\n"))
@@ -422,6 +456,12 @@ class TestScan:
             main(["scan", "-", "--jobs", jobs])
         assert exc.value.code == EXIT_PARSE
         assert "--jobs" in capsys.readouterr().err
+
+    def test_non_integer_jobs_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "-", "--jobs", "x"])
+        assert exc.value.code == EXIT_PARSE
+        assert "--jobs: not an integer: 'x'" in capsys.readouterr().err
 
     def test_jobs_clamped_to_cpu_count(self, tmp_path, capsys, monkeypatch):
         started = []

@@ -38,6 +38,11 @@ class TestGraph:
         with pytest.raises(ValueError):
             Graph(3, [(0, 3)])
 
+    def test_rejects_a_negative_vertex_count(self):
+        with pytest.raises(ValueError,
+                           match="^vertex count must be non-negative$"):
+            Graph(-1)
+
     def test_neighbors_are_the_set_bits_ascending(self):
         assert list(bits(0)) == []
         assert list(bits(0b101001)) == [0, 3, 5]
@@ -165,6 +170,19 @@ class TestEdgeList:
                 parse_edge_list(f"0 1\n# comment\n{line}\n")
             assert str(exc.value) == message
             assert exc.value.line == 3
+
+    @pytest.mark.parametrize("text, message", [
+        ("n", "malformed vertex-count line (line 1)"),
+        ("n 1 2", "malformed vertex-count line (line 1)"),
+        ("n x", "non-integer vertex count 'x' (line 1)"),
+        ("0 1\nn 3", "non-integer vertex token 'n' (line 2)"),
+        ("n 3\nn 3", "non-integer vertex token 'n' (line 2)")])
+    def test_vertex_count_line_errors_name_their_line(self, text, message):
+        """Only the first content line may declare the vertex count; past
+        it, ``n`` is read as a vertex token."""
+        with pytest.raises(EdgeListParseError) as exc:
+            parse_edge_list(text)
+        assert str(exc.value) == message
 
     def test_rejects_vertex_beyond_declared_count(self):
         with pytest.raises(EdgeListParseError):

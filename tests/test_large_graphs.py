@@ -98,15 +98,18 @@ def test_pan_search_on_the_8x8_grid():
     assert find_induced_pan(grid(8, 8)) == PatternHit(PAN, (1, 2, 10, 9, 0), k=4)
 
 
-@pytest.mark.parametrize("g", [complete_multipartite(33, 33, 34),
-                               complete_bipartite(40, 40), complete(200)],
-                         ids=["K33,33,34", "K40,40", "K200"])
+@pytest.mark.parametrize("g", [
+    complete_multipartite(33, 33, 34),
+    Graph(101, complete_multipartite(33, 33, 34).edges()),
+    complete_bipartite(40, 40), complete(200)],
+    ids=["K33,33,34", "K33,33,34+K1", "K40,40", "K200"])
 def test_dense_pan_free_graphs(g):
-    """Connected complete multipartite graphs hold no pan.  K200 costs
-    O(n^2), as N(a) lies inside N[u] for every edge au, and K33,33,34
-    O(n^3) mask steps for its triangles; with a triangle and no 3-pan,
-    both then stop (Olariu).  Triangle-free K40,40 costs O(n^3) mask
-    steps in the search for the shortest pan cycle."""
+    """Complete multipartite graphs hold no pan, nor does an isolated
+    vertex.  K200 costs O(n^2), as N(a) lies inside N[u] for every edge
+    au, and K33,33,34 O(n^3) mask steps for its triangles; with no 3-pan,
+    every vertex of both lies on a triangle, and the search stops (Olariu),
+    with or without a component beside them.  Triangle-free K40,40 costs
+    O(n^3) mask steps in the search for the shortest pan cycle."""
     assert find_induced_pan(g) is None
 
 

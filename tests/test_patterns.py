@@ -160,7 +160,8 @@ class TestPanDetector:
         """A diamond on 0..3, whose triangles have no pendant, beside a
         4-cycle 4..7 with the pendant 8 on 4.  A connected graph with a
         triangle and no 3-pan is complete multipartite, hence pan-free
-        (Olariu), so the two sit in separate components."""
+        (Olariu), so the two sit in separate components, and the search
+        runs in the triangle-free one."""
         g = Graph(9, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3),
                       (4, 5), (5, 6), (6, 7), (4, 7), (4, 8)])
         hit = find_induced_pan(g)
@@ -168,8 +169,9 @@ class TestPanDetector:
 
     def test_a_triangle_beside_a_4_pan(self):
         """K3 on 0..2 beside a 4-cycle 3..6 with the pendant 7 on 3: the
-        graph has a triangle and no 3-pan, but it is not connected, so
-        Olariu's theorem does not end the search."""
+        graph has a triangle and no 3-pan, so by Olariu's theorem each
+        component is triangle-free or complete multipartite, and the
+        search is confined to the triangle-free one, 3..7."""
         g = Graph(8, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (5, 6), (6, 3),
                       (3, 7)])
         hit = find_induced_pan(g)
@@ -177,11 +179,24 @@ class TestPanDetector:
 
     def test_triangles_without_a_3_pan_and_a_5_pan(self):
         """K4 on 0..3 beside a 5-cycle 4..8 with the pendant 9 on 6: the
+        search is confined to the triangle-free component 4..9, whose
         shortest pan cycle has 5 vertices, not 4."""
         g = Graph(10, list(combinations(range(4), 2))
                   + [(4, 5), (5, 6), (6, 7), (7, 8), (4, 8), (6, 9)])
         hit = find_induced_pan(g)
         assert hit == PatternHit(PAN, (6, 7, 8, 4, 5, 9), k=5) == first_induced_pan(g)
+
+    def test_a_k222_beside_a_4_pan(self):
+        """K2,2,2 (parts {0, 1}, {2, 3}, {4, 5}) beside a 4-cycle 6..9
+        with the pendant 10 on 6.  Every vertex of K2,2,2 lies on a
+        triangle, so no cycle through it is listed: there, a neighbour of
+        a path's end could also touch the path's interior."""
+        part = [v // 2 for v in range(6)]
+        g = Graph(11, [(u, v) for v in range(6) for u in range(v)
+                       if part[u] != part[v]]
+                  + [(6, 7), (7, 8), (8, 9), (6, 9), (6, 10)])
+        hit = find_induced_pan(g)
+        assert hit == PatternHit(PAN, (6, 7, 8, 9, 10), k=4) == first_induced_pan(g)
 
     def test_first_hit_on_the_inventory(self, graphs_upto_7):
         """The whole hit, k and vertices, equals the one found over every
