@@ -11,8 +11,9 @@ the least subset of each orbit is keyed: 4,159 augmentations for
 n <= 7 where there are 7,815 subsets, and 67,141 for n = 8 where there
 are 108,331.  The key, `canonical_key`, is a branch and bound over the
 rows of the adjacency matrix that tries one vertex of each pair of
-twins, so even symmetric graphs key fast: K9 in about 0.2 ms, the
-Petersen graph in about 2 ms on a 2-vCPU VM.  The relabelings it ends
+twins, so even symmetric graphs key fast: K9 in about 0.05 ms, the
+Petersen graph in about 1.6 ms, and the 71,300 augmentations up to
+n = 8 in about 40 us each, on a 2-vCPU VM.  The relabelings it ends
 with give the automorphism group that the orbits are taken under."""
 
 from __future__ import annotations
@@ -30,30 +31,47 @@ CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117,
 INVENTORY_RESOURCE = "connected_1_7.g6"
 
 
-def _refined_colors(adj: tuple[int, ...], nbrs: list[list[int]]) -> list[int]:
+def _refined_colors(adj: tuple[int, ...],
+                    nbrs: list[list[int]]) -> tuple[list[int], int]:
     """Iterated neighbor-color refinement, seeded with degree and local
-    triangle count; isomorphism-invariant by construction.
+    triangle count; isomorphism-invariant by construction.  Returns the
+    colors and how many there are.
 
     Each round ranks (old color, sorted neighbor colors), so a round only
     splits classes and keeps their order.  A round that adds no class
     therefore changes no color, and it stops there, or once every vertex
-    has its own class.
+    has its own class.  The pair is one flat tuple, which sorts as the
+    pair would, since the vertices of a class share a degree.  A vertex
+    alone in its class cannot split, and its rank depends only on its old
+    color, so its neighbor colors are not gathered.
     """
     n = len(adj)
-    seeds = [(len(nbr), sum([(adj[v] & adj[u]).bit_count() for u in nbr]) // 2)
-             for v, nbr in enumerate(nbrs)]
+    # the degree, then twice the triangles at v (each edge among its
+    # neighbors, counted from both ends), as one number: twice the
+    # triangles is at most deg(v) * (deg(v) - 1) < n * n
+    square = n * n
+    seeds = []
+    for mask, nbr in zip(adj, nbrs):
+        seed = len(nbr) * square
+        for u in nbr:
+            seed += (mask & adj[u]).bit_count()
+        seeds.append(seed)
     ranks = {c: i for i, c in enumerate(sorted(set(seeds)))}
     colors = [ranks[c] for c in seeds]
     count = len(ranks)
     while count < n:
-        refined = [(colors[v], tuple(sorted([colors[u] for u in nbr])))
-                   for v, nbr in enumerate(nbrs)]
+        sizes = [0] * count
+        for c in colors:
+            sizes[c] += 1
+        color = colors.__getitem__
+        refined = [(c, *sorted(map(color, nbr))) if sizes[c] > 1 else (c,)
+                   for c, nbr in zip(colors, nbrs)]
         ranks = {c: i for i, c in enumerate(sorted(set(refined)))}
         if len(ranks) == count:
             break
         colors = [ranks[c] for c in refined]
         count = len(ranks)
-    return colors
+    return colors, count
 
 
 def canonical_key(g: Graph) -> tuple:
@@ -77,13 +95,14 @@ def canonical_key(g: Graph) -> tuple:
     search, and also returns the automorphisms that the surviving
     relabelings give.
     """
-    return _key_and_automorphisms(g)[0]
+    return _key_and_automorphisms(g.adj)[0]
 
 
-def _key_and_automorphisms(g: Graph) -> tuple[tuple, list[list[int]]]:
-    """`canonical_key(g)`, and one automorphism of g, as a list mapping
-    each vertex to its image, for each coset of the twin-swap group T
-    other than T itself.
+def _key_and_automorphisms(adj: tuple[int, ...]
+                           ) -> tuple[tuple, list[list[int]]]:
+    """`canonical_key` of the graph g whose adjacency masks are `adj`,
+    and one automorphism of g, as a list mapping each vertex to its
+    image, for each coset of the twin-swap group T other than T itself.
 
     Every relabeling that attains the key maps g onto the same graph, so
     for any two of them, lambda_0 and lambda_i, the map that sends the
@@ -96,12 +115,18 @@ def _key_and_automorphisms(g: Graph) -> tuple[tuple, list[list[int]]]:
     generate the whole group.  One vertex per class after refinement
     means no automorphism but the identity, and no twins.
     """
-    n = g.n
-    adj = g.adj
+    n = len(adj)
     vertices = range(n)
-    nbrs = [[u for u in vertices if mask >> u & 1] for mask in adj]
-    colors = _refined_colors(adj, nbrs)
-    if len(set(colors)) == n:  # v goes to position colors[v]
+    nbrs = []
+    for mask in adj:
+        nbr = []
+        while mask:
+            low = mask & -mask
+            nbr.append(low.bit_length() - 1)
+            mask ^= low
+        nbrs.append(nbr)
+    colors, count = _refined_colors(adj, nbrs)
+    if count == n:  # v goes to position colors[v]
         key = 0
         for v, nbr in enumerate(nbrs):
             pv = colors[v]
@@ -174,7 +199,7 @@ def _orbit_minimal_subsets(parent: Graph) -> list[int]:
     (`_twin_least`) is the least member of a T-orbit.
     """
     m = parent.n
-    _, automorphisms = _key_and_automorphisms(parent)
+    _, automorphisms = _key_and_automorphisms(parent.adj)
     lows = []
     for mask in set(twin_classes(parent.adj)):
         if mask & (mask - 1):
@@ -208,7 +233,9 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
     vertex fixed is an isomorphism from parent + S onto parent + pi(S),
     which came first; so only the subsets least in their orbit under
     the parent's automorphisms (`_orbit_minimal_subsets`) are keyed, and
-    the graphs kept are those that keying every subset would keep.
+    the graphs kept are those that keying every subset would keep.  Each
+    augmentation is keyed from its adjacency masks, the parent's with the
+    new vertex's bit added, and a `Graph` is built only for a new key.
     """
     if n < 1:
         return ()
@@ -216,13 +243,17 @@ def connected_graphs(n: int) -> tuple[Graph, ...]:
         return (Graph(1),)
     seen: dict[tuple, Graph] = {}
     new = n - 1
+    bit = 1 << new
     for parent in connected_graphs(n - 1):
+        base = parent.adj
         base_edges = parent.edges()
         for subset in _orbit_minimal_subsets(parent):
-            g = Graph(n, base_edges + [(v, new) for v in bits(subset)])
-            key = canonical_key(g)
+            adj = tuple([mask | bit if subset >> v & 1 else mask
+                         for v, mask in enumerate(base)]) + (subset,)
+            key = _key_and_automorphisms(adj)[0]
             if key not in seen:
-                seen[key] = g
+                seen[key] = Graph(n, base_edges
+                                  + [(v, new) for v in bits(subset)])
     if n in CONNECTED_COUNTS and len(seen) != CONNECTED_COUNTS[n]:
         raise AssertionError(
             f"expected {CONNECTED_COUNTS[n]} connected graphs on {n} vertices, "

@@ -1,5 +1,6 @@
 """The canonical key against the product-of-permutations reference, and
-its invariance under relabeling past the exhaustive sizes; the
+its invariance under relabeling past the exhaustive sizes; the color
+refinement against the reference that repeats every round; the
 automorphisms it returns against brute force, and the inventory
 regenerated from orbit-minimal augmentations against the loop that keys
 every augmentation."""
@@ -8,16 +9,17 @@ from itertools import permutations
 from math import factorial, prod
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from searchorder import Graph
 from searchorder.graphs import twin_classes
 from searchorder.inventory import (_key_and_automorphisms,
-                                   _orbit_minimal_subsets, canonical_key,
-                                   connected_graphs)
-from oracles import reference_canonical_key, reference_connected_graphs
-from smallgraphs import (complete_bipartite, cycle, hypercube, petersen,
-                         relabeled)
+                                   _orbit_minimal_subsets, _refined_colors,
+                                   canonical_key, connected_graphs)
+from oracles import (_reference_refined_colors, reference_canonical_key,
+                     reference_connected_graphs)
+from smallgraphs import (complete, complete_bipartite, cycle, hypercube,
+                         petersen, relabeled)
 from strategies import random_graphs
 
 
@@ -55,6 +57,25 @@ def test_key_is_invariant_under_relabeling(g, rng):
     assert canonical_key(relabeled(g, perm)) == canonical_key(g)
 
 
+@given(random_graphs(8, 20))
+@example(cycle(8))
+@example(hypercube(3))
+@example(petersen())
+@example(Graph(11, complete(5).edges() + [(5, v) for v in range(6, 11)]))
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_refined_colors_equal_the_reference(g):
+    """Past the exhaustive sizes, skipping the classes of one vertex
+    changes no color.  On the regular C8, Q3 and Petersen graph every
+    vertex has one degree and triangle count, so the first round adds no
+    class and refinement stops there, with one color.  Beside K5, the
+    centre of a star K1,5 has the higher degree and K5's vertices the
+    more triangles: degree ranks first."""
+    colors, count = _refined_colors(g.adj, [list(g.neighbors(v))
+                                            for v in range(g.n)])
+    assert colors == _reference_refined_colors(g)
+    assert count == len(set(colors))
+
+
 def _automorphisms(g):
     """Every automorphism of g, by trying every permutation."""
     edges = {frozenset(e) for e in g.edges()}
@@ -79,7 +100,7 @@ def test_inventory_equals_the_loop_that_keys_every_augmentation(n):
 
 
 def _assert_automorphisms_cover_the_group(g, order):
-    key, images = _key_and_automorphisms(g)
+    key, images = _key_and_automorphisms(g.adj)
     assert key == canonical_key(g)
     edges = {frozenset(e) for e in g.edges()}
     for image in images:

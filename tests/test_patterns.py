@@ -19,6 +19,7 @@ from searchorder import (
     paw_free_decomposition,
     recognize_structure,
 )
+from searchorder import patterns
 from searchorder.patterns import (FORBIDDEN, find_forbidden,
                                   is_complete_multipartite, is_forest,
                                   is_trivially_perfect)
@@ -197,6 +198,29 @@ class TestPanDetector:
                   + [(6, 7), (7, 8), (8, 9), (6, 9), (6, 10)])
         hit = find_induced_pan(g)
         assert hit == PatternHit(PAN, (6, 7, 8, 9, 10), k=4) == first_induced_pan(g)
+
+    @pytest.mark.parametrize("g, free", [
+        (Graph(15, complete_multipartite(3, 3, 3).edges()
+               + [(9 + i, 9 + (i + 1) % 6) for i in range(6)]), 0x3f << 9),
+        (Graph(101, complete_multipartite(33, 33, 34).edges()), 1 << 100),
+        (complete_multipartite(3, 3, 3), 0)],
+        ids=["K3,3,3+C6", "K33,33,34+K1", "K3,3,3"])
+    def test_pan_cycles_are_sought_off_the_triangles(self, g, free,
+                                                     monkeypatch):
+        """The search for the shortest pan cycle starts only from the
+        vertices on no triangle: every vertex of a complete multipartite
+        component with a triangle lies on one, so the component is left
+        out, whatever lies beside it."""
+        frees = []
+        search = patterns._shortest_pan_cycle
+
+        def spy(g, free):
+            frees.append(free)
+            return search(g, free)
+
+        monkeypatch.setattr(patterns, "_shortest_pan_cycle", spy)
+        assert find_induced_pan(g) is None
+        assert frees == [free]
 
     def test_first_hit_on_the_inventory(self, graphs_upto_7):
         """The whole hit, k and vertices, equals the one found over every
