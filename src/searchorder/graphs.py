@@ -260,8 +260,8 @@ def twin_classes(adj: tuple[int, ...]) -> tuple[int, ...]:
     """For each vertex v, the bitmask of v and its twins: the vertices w
     with N(v) - {w} = N(w) - {v}, so that swapping v and w is an
     automorphism.  Remembered for the last adjacency: a theorem check
-    walks one graph up to ten times, and regeneration asks for a parent's
-    classes when it keys the parent and again when it augments it.
+    walks one graph up to ten times.  Regeneration asks once per parent
+    and derives each augmentation's classes from the parent's.
 
     A twin shares v's open neighbourhood (not adjacent to v) or its closed
     one (adjacent).  No open neighbourhood N(u) equals a closed one N[x],

@@ -324,8 +324,9 @@ def first_outside(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
                   cap: float) -> tuple[Optional[tuple[int, ...]], bool]:
     """The lexicographically first kind_x ordering of g that is not a kind_y
     ordering (None if there is none), and whether the walk stopped at the cap.
-    g must be connected, which the callers in ``equivalence`` check: on a
-    disconnected g the walk can return a wrong ordering or raise.
+    Raises DisconnectedGraphError unless g is connected: past the first
+    vertex's component the rules allow no vertex, and the walk would give
+    a wrong ordering or fail.
 
     kind_x orderings lie within kind_y orderings iff, at every prefix both
     can reach, kind_x's candidates are a subset of kind_y's.  The walk
@@ -353,6 +354,7 @@ def first_outside(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
     drops its twins from the frame's remaining candidates.  The first
     counterexample stays the same.
     """
+    require_connected(g)
     if cap <= 0:
         raise ValueError("cap must be positive")
     n = g.n

@@ -121,3 +121,10 @@ MNS_NOT_MCS_BROKEN_EXAMPLE = (
     Graph(5, [(1, 2), (2, 3), (3, 1), (1, 0), (0, 2), (2, 4), (4, 3)]),
     (0, 2, 4, 3, 1),
 )
+
+
+def threshold(creation: str) -> Graph:
+    """The threshold graph whose vertex v is added isolated where
+    creation[v] is '0' and joined to every earlier vertex where it is '1'."""
+    return Graph(len(creation), [(u, v) for v, c in enumerate(creation)
+                                 if c == "1" for u in range(v)])

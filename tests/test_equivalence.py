@@ -445,6 +445,18 @@ def test_clique_settles_every_pair_within_n_key_pairs(n):
             assert first_outside(g, kx, ky, n) == (None, False), (kx, ky)
 
 
+def test_walk_rejects_a_disconnected_graph():
+    """Past 2K2's component {0, 1} the rules allow no vertex: the walk
+    refuses the graph rather than report vertex 2 as a counterexample
+    (LexDFS within Generic) or fail on the empty fringe (MNS within
+    BFS)."""
+    g = Graph(4, [(0, 1), (2, 3)])
+    for kx, ky in ((SearchKind.LEXDFS, SearchKind.GENERIC),
+                   (SearchKind.MNS, SearchKind.BFS)):
+        with pytest.raises(DisconnectedGraphError):
+            first_outside(g, kx, ky, math.inf)
+
+
 def test_key_pairs_settle_what_the_full_key_could_not():
     """The walk merges prefixes on which both kinds' keys agree, though the
     visited neighbourhoods differ: K6,6's Generic orderings lie within its
