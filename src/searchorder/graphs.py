@@ -3,7 +3,9 @@ edge-list ingestion.
 
 Adjacency is kept as one bitmask per vertex (graphs here never exceed a
 few dozen vertices), which makes the candidate-set intersections in the
-search executors and the mask sweeps in the validators cheap.
+search executors and the mask sweeps in the validators cheap.  graph6
+input is decoded straight into those masks, one integer per column of
+its upper triangle.
 """
 
 from __future__ import annotations
@@ -97,6 +99,16 @@ class Graph:
         return f"Graph(n={self.n}, edges={self.edges()})"
 
 
+def _from_masks(n: int, adj: list[int]) -> Graph:
+    """The graph whose adjacency masks are ``adj``, without the pair
+    checks of ``Graph.__init__``: the caller vouches that the masks are
+    symmetric, loop-free and below ``1 << n``."""
+    g = Graph.__new__(Graph)
+    g.n = n
+    g.adj = tuple(adj)
+    return g
+
+
 # -- graph6 ------------------------------------------------------------
 
 _G6_HEADER = ">>graph6<<"
@@ -140,8 +152,21 @@ def parse_graph6(line: str) -> Graph:
     if pad >= 0:
         raise Graph6ParseError("nonzero padding bit in graph6 body",
                                offset=1 + pad // 6)
-    return Graph(n, [pair for pair, bit in zip(_upper_triangle(n), bitstring)
-                     if bit == "1"])
+    # column v of the upper triangle holds the pairs (0, v), ..., (v - 1, v)
+    # in that order, so read backwards it is N(v) below v as a bitmask; a
+    # bit loop adds v to each of those neighbours' masks
+    adj = [0] * n
+    start = 0
+    for v in range(1, n):
+        column = int(bitstring[start:start + v][::-1], 2)
+        start += v
+        adj[v] = column
+        bit = 1 << v
+        while column:
+            low = column & -column
+            adj[low.bit_length() - 1] |= bit
+            column ^= low
+    return _from_masks(n, adj)
 
 
 def emit_graph6(g: Graph) -> str:

@@ -3,7 +3,9 @@
 The 4-vertex detectors walk the pairs b < c of the radius-3 ball around
 each vertex a, over the vertices from a on, and find the first d by one
 mask per table row, so sparse graphs cost little; no 4-subset scan,
-which is O(n^4) when the pattern is absent.  Dense pattern-free graphs
+which is O(n^4) when the pattern is absent.  The four patterns of one
+graph share the balls, each built by the first search that reaches its
+vertex.  Dense pattern-free graphs
 stay cubic: K100,100 takes 0.8-1.5 s per absent pattern.  The k-pan
 detector first tries the triangles through each vertex in turn, one mask
 of pendants per triangle.  Without a 3-pan (a paw), each component is
@@ -13,7 +15,8 @@ k* by breadth-first search, then lists only the chordless cycles that
 can still close at length k*, so it stays fast where listing every
 chordless cycle is exponential, as on grids.  The structural
 recognizers use no detector, and the test suite cross-checks the two
-paths exhaustively.
+paths exhaustively; a connected graph is a tree iff it has n - 1 edges,
+so only disconnected input needs a component count for ``forest``.
 """
 
 from __future__ import annotations
@@ -83,6 +86,15 @@ class PatternHit:
         return d
 
 
+@lru_cache(maxsize=1)
+def _radius3_balls(g: Graph) -> list[int]:
+    """g's radius-3 balls so far: at index a, the ball around a over the
+    vertices from a on, for each a that ``find_induced_small`` has reached
+    on g; it appends the rest as it reaches them.  Remembered for the last
+    graph: a classification asks for all four patterns in a row."""
+    return []
+
+
 def find_induced_small(g: Graph, pattern: str) -> Optional[PatternHit]:
     """Lexicographically first induced embedding of a 4-vertex pattern.
 
@@ -93,16 +105,23 @@ def find_induced_small(g: Graph, pattern: str) -> Optional[PatternHit]:
     row's d-mask is the ball after c, ANDed with N(a), N(b), N(c) or
     their complements, and the least lowest bit over the rows is the
     first d.  Rows with different adjacencies have disjoint d-masks, so
-    d picks the row, and with it the vertex order.
+    d picks the row, and with it the vertex order.  The balls come from
+    ``_radius3_balls``, so the four patterns of one graph build each ball
+    once.
     """
     try:
         table = _EMBEDDINGS[pattern]
     except KeyError:
         raise ValueError(f"unknown 4-vertex pattern {pattern!r}") from None
     adj = g.adj
+    known = _radius3_balls(g)
     for a in range(g.n - 3):
         na = adj[a]
-        *_, ball = islice(balls(g, a, -1 << a), 4)
+        if a < len(known):
+            ball = known[a]
+        else:
+            *_, ball = islice(balls(g, a, -1 << a), 4)
+            known.append(ball)
         rest_b = ball ^ 1 << a
         while rest_b:
             low_b = rest_b & -rest_b
@@ -391,7 +410,10 @@ def recognize_structure(g: Graph) -> ClassLabel:
     on disconnected input.  Remembered for the last graph: a scan checks
     every theorem on one graph before it moves to the next."""
     connected = is_connected(g)
-    forest = is_forest(g)
+    # a connected graph is a tree iff it has n - 1 edges; the empty graph
+    # is a forest with 0 != -1 edges
+    forest = (g.edge_count == g.n - 1 if connected and g.n
+              else is_forest(g))
     triangle_free = is_triangle_free(g)
     if not connected:
         return ClassLabel(star=None, clique=None, cycle_ge4=None, tree=None,

@@ -295,6 +295,38 @@ def test_graph6_round_trip_past_exhaustive_sizes(g):
     assert parse_graph6(emit_graph6(g)) == g
 
 
+def _assert_well_formed(g):
+    """The masks that ``Graph.__init__`` would build from g's edges: a
+    tuple, symmetric, below ``1 << n`` and without self-bits."""
+    assert g.adj == Graph(g.n, g.edges()).adj
+    for v, mask in enumerate(g.adj):
+        assert 0 <= mask < 1 << g.n and not mask >> v & 1, (g, v)
+
+
+@st.composite
+def graph6_records(draw):
+    """A short-form record for any n <= 62: body bytes drawn one by one,
+    then the padding bits of the last one cleared."""
+    n = draw(st.integers(0, 62))
+    npairs = n * (n - 1) // 2
+    body = draw(st.lists(st.integers(0, 63), min_size=(npairs + 5) // 6,
+                         max_size=(npairs + 5) // 6))
+    if body:
+        body[-1] &= -1 << (-npairs % 6)
+    return chr(63 + n) + "".join(chr(63 + byte) for byte in body)
+
+
+@PARSER_SETTINGS
+@given(graph6_records())
+def test_parsed_masks_are_well_formed_past_exhaustive_sizes(record):
+    _assert_well_formed(parse_graph6(record))
+
+
+def test_parsed_masks_of_the_packaged_inventory_are_well_formed():
+    for line in load_packaged_inventory():
+        _assert_well_formed(parse_graph6(line))
+
+
 @st.composite
 def damaged_graph6(draw):
     """A valid record with one character replaced, inserted or deleted."""

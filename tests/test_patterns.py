@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -378,7 +379,49 @@ def test_small_pattern_first_hits_past_13_vertices(g):
         assert find_induced_small(g, pattern) == first_induced_small(g, pattern)
 
 
+def test_remembered_balls_follow_the_graph():
+    """``find_induced_small`` remembers the radius-3 balls of the last graph
+    it searched.  Ask all four patterns in shuffled orders, graph by graph
+    and then interleaved, over graphs of one n, equal but distinct copies,
+    and graphs whose only hits lie past a K8 (a = 8); every hit must be
+    the oracle's."""
+    rng = random.Random(35)
+    clique = list(combinations(range(8), 2))
+    graphs = [Graph(12, clique + [(8 + u, 8 + v) for u, v in pattern.edges()])
+              for pattern in SMALL_PATTERNS.values()]
+    for n, density in ((12, 0.2), (12, 0.35), (12, 0.5), (12, 0.8), (9, 0.4)):
+        graphs.append(Graph(n, [e for e in combinations(range(n), 2)
+                                if rng.random() < density]))
+    graphs += [Graph(g.n, g.edges()) for g in graphs]
+    expected = {(i, pattern): first_induced_small(g, pattern)
+                for i, g in enumerate(graphs) for pattern in SMALL_PATTERNS}
+    queries = []
+    for _ in range(3):
+        order = list(range(len(graphs)))
+        rng.shuffle(order)
+        for i in order:
+            names = list(SMALL_PATTERNS)
+            rng.shuffle(names)
+            queries += [(i, pattern) for pattern in names]
+    interleaved = list(expected)
+    rng.shuffle(interleaved)
+    for i, pattern in queries + interleaved:
+        assert find_induced_small(graphs[i], pattern) == expected[i, pattern], \
+            (graphs[i], pattern)
+
+
 class TestRecognizerEdgeCases:
+    def test_forest_flag_is_is_forest(self, graphs_upto_7):
+        """A connected graph is a forest iff m = n - 1, except the empty
+        graph, a forest with 0 != -1 edges; disconnected graphs with
+        m = n - 1 need not be forests (a triangle plus a vertex)."""
+        assert recognize_structure(Graph(0)).forest
+        extra = [Graph(0), Graph(1), Graph(2), Graph(4, [(0, 1), (1, 2), (0, 2)]),
+                 Graph(6, [(0, 1), (1, 2), (3, 4)]),
+                 Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4)])]
+        for g in [*graphs_upto_7, *extra, *_all_graphs(5)]:
+            assert recognize_structure(g).forest == is_forest(g), g
+
     def test_disconnected_forest(self):
         assert is_forest(Graph(6, [(0, 1), (1, 2), (3, 4)]))
 
