@@ -280,41 +280,49 @@ def enumerate_orderings(g: Graph, kind: SearchKind,
     key = _root_key(n)
     # one frame per depth: a prefix, its unvisited vertices (at the root,
     # the key's one class), its candidates not yet tried, its key and where
-    # its orderings start in ``found``; popped with no candidates left, its
-    # subtree is done
+    # its orderings start in ``found``.  A frame takes its candidates in
+    # ascending order in place: a leaf is appended and a repeated key's
+    # span copied, and only a new key suspends the frame, pushed back
+    # beneath the child.  A frame whose candidates run out records its
+    # span: its subtree is done.
     stack = [((), key[0], rule(adj, key), key, 0)]
     while stack:
         prefix, unvisited, rest, key, first = stack.pop()
-        if not rest:
-            walked[key] = (first, len(found))
-            continue
-        low = rest & -rest
-        # a frame left with no candidates needs no prefix, only its span
-        stack.append((prefix if rest != low else None, unvisited, rest ^ low,
-                      key, first))
-        v = low.bit_length() - 1
-        prefix += (v,)
-        unvisited ^= low
-        depth = len(prefix)
-        if depth >= n - 1:
-            # one vertex left at most: every kind's only candidate
-            if len(found) == cap:
+        if rest:  # a spent frame's prefix is None
+            depth = len(prefix) + 1  # its children's
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            left = unvisited ^ low
+            if depth >= n - 1:
+                # one vertex left at most: every kind's only candidate
+                if len(found) == cap:
+                    return EnumerationResult(tuple(found), True)
+                found.append(prefix + (v, left.bit_length() - 1) if left
+                             else prefix + (v,))
+                continue
+            child = step(adj, key, v)
+            span = walked.get(child)
+            if span is None:
+                # a suspended frame with no candidates left needs no
+                # prefix, only its span
+                stack.append((prefix if rest else None, unvisited, rest,
+                              key, first))
+                stack.append((prefix + (v,), left, rule(adj, child), child,
+                              len(found)))
+                break
+            # an equal key leaves the same vertices unvisited, so the span's
+            # orderings complete this prefix from the same depth on
+            start, end = span
+            grown = prefix + (v,)
+            if len(found) + end - start > cap:
+                end = start + cap - len(found)
+                found += [grown + o[depth:] for o in found[start:end]]
                 return EnumerationResult(tuple(found), True)
-            found.append(prefix + (unvisited.bit_length() - 1,)
-                         if unvisited else prefix)
-            continue
-        key = step(adj, key, v)
-        span = walked.get(key)
-        if span is None:
-            stack.append((prefix, unvisited, rule(adj, key), key, len(found)))
-            continue
-        # an equal key leaves the same vertices unvisited, so the span's
-        # orderings complete this prefix from the same depth on
-        first, end = span
-        stop = min(end, first + cap - len(found))
-        found += [prefix + o[depth:] for o in found[first:stop]]
-        if stop < end:
-            return EnumerationResult(tuple(found), True)
+            found += [grown + o[depth:] for o in found[start:end]]
+        else:
+            walked[key] = (first, len(found))
     return EnumerationResult(tuple(found), False)
 
 
@@ -349,10 +357,10 @@ def first_outside(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
     of g that fixes the prefix.  Every kind's orderings are closed under
     automorphisms, so kind_y allows w iff it allows v, and the subtree
     below prefix + w is the image of the one below prefix + v.  A
-    counterexample returns at once, so when the frame holding w is popped
-    again, v's subtree has held none, and neither does w's: taking v
-    drops its twins from the frame's remaining candidates.  The first
-    counterexample stays the same.
+    counterexample returns at once, so when the walk comes back to the
+    frame holding w, v's subtree has held none, and neither does w's:
+    taking v drops its twins from the frame's remaining candidates.  The
+    first counterexample stays the same.
     """
     require_connected(g)
     if cap <= 0:
@@ -366,28 +374,32 @@ def first_outside(g: Graph, kind_x: SearchKind, kind_y: SearchKind,
     root = _root_key(n)
     walked = {(root, root)}
     # one frame per depth: a prefix, kind_x's candidates not yet tried
-    # there, kind_y's candidates and the two keys
+    # there, kind_y's candidates and the two keys.  A frame takes its
+    # candidates in place, as enumeration does, and is pushed back beneath
+    # a child only to descend, and only while candidates remain.
     stack = [((), rule_x(adj, root), rule_y(adj, root), root, root)]
     twins = twin_classes(adj)
     while stack:
         prefix, rest, allowed, key_x, key_y = stack.pop()
-        low = rest & -rest
-        v = low.bit_length() - 1
-        rest &= ~twins[v]  # v and its twins
-        if rest:
-            stack.append((prefix, rest, allowed, key_x, key_y))
-        prefix += (v,)
-        if not allowed & low:
-            return complete_prefix(kind_x, adj, prefix,
-                                   step_x(adj, key_x, v)), False
-        if len(prefix) == n:
-            continue
-        pair = key_x, key_y = step_x(adj, key_x, v), step_y(adj, key_y, v)
-        if pair in walked:
-            continue
-        if len(walked) >= cap:
-            return None, True
-        walked.add(pair)
-        stack.append((prefix, rule_x(adj, key_x), rule_y(adj, key_y),
-                      key_x, key_y))
+        while rest:
+            low = rest & -rest
+            v = low.bit_length() - 1
+            rest &= ~twins[v]  # v and its twins
+            if not allowed & low:
+                return complete_prefix(kind_x, adj, prefix + (v,),
+                                       step_x(adj, key_x, v)), False
+            if len(prefix) + 1 == n:
+                continue
+            pair = child_x, child_y = (step_x(adj, key_x, v),
+                                       step_y(adj, key_y, v))
+            if pair in walked:
+                continue
+            if len(walked) >= cap:
+                return None, True
+            walked.add(pair)
+            if rest:
+                stack.append((prefix, rest, allowed, key_x, key_y))
+            stack.append((prefix + (v,), rule_x(adj, child_x),
+                          rule_y(adj, child_y), child_x, child_y))
+            break
     return None, False

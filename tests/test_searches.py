@@ -382,6 +382,30 @@ class TestClosedFormCounts:
         assert (result.orderings, result.truncated) == (full[:cap], True)
 
 
+def test_enumeration_expands_each_key_once(graphs_upto_6, monkeypatch):
+    """A kind's rule runs once per distinct key among the root and the
+    prefixes of length 1..n - 2 of its orderings, each key stepped along
+    its ordering: a repeated key's orderings are copied, and a prefix with
+    one vertex left or none is completed without a rule."""
+    calls = [0]
+
+    def counted(rule):
+        def call(adj, key):
+            calls[0] += 1
+            return rule(adj, key)
+        return call
+
+    for kind, (step, rule) in list(_KINDS.items()):
+        monkeypatch.setitem(_KINDS, kind, (step, counted(rule)))
+    for g in graphs_upto_6:
+        for kind in ALL_KINDS:
+            calls[0] = 0
+            orderings = enumerate_orderings(g, kind).orderings
+            keys = {kind_key(kind, g, o[:depth]) for o in orderings
+                    for depth in range(max(g.n - 1, 1))}
+            assert calls[0] == len(keys), (g, kind)
+
+
 class TestAgainstSimulationOracles:
     """The candidate rules must reproduce exactly the orderings accepted by
     the independent data-structure simulations, for every connected graph
